@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -44,7 +45,8 @@ func main() {
 // run builds the grid, registers overlapping monitoring tasks at the
 // sink, then streams sensor readings from the far corner region.
 func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, dropped int) {
-	net, err := pubsub.NewNetwork(policy, pubsub.Config{
+	ctx := context.Background()
+	net, err := pubsub.NewSimTransport(policy, pubsub.Config{
 		ErrorProbability: 1e-6,
 		Seed:             42,
 		DropRate:         0.02, // 2% radio loss per hop
@@ -55,7 +57,8 @@ func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, drop
 	name := func(x, y int) string { return fmt.Sprintf("n%d_%d", x, y) }
 	for y := 0; y < gridSide; y++ {
 		for x := 0; x < gridSide; x++ {
-			must(net.AddBroker(name(x, y)))
+			_, err := net.AddBroker(name(x, y))
+			must(err)
 		}
 	}
 	for y := 0; y < gridSide; y++ {
@@ -68,8 +71,10 @@ func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, drop
 			}
 		}
 	}
-	must(net.AttachClient("sink", name(0, 0)))
-	must(net.AttachClient("field", name(gridSide-1, gridSide-1)))
+	sink, err := net.Open(ctx, "sink", name(0, 0))
+	must(err)
+	field, err := net.Open(ctx, "field", name(gridSide-1, gridSide-1))
+	must(err)
 
 	// Monitoring tasks: many overlapping temperature watches over the
 	// same few regions — the redundancy group coverage exploits.
@@ -82,29 +87,35 @@ func run(policy pubsub.Policy, schema *subsume.Schema) (delivered, subMsgs, drop
 			Range("tempC10", lo, lo+300+rng.Int64N(300)).
 			Range("battery", 10*rng.Int64N(3), 100).
 			Build()
-		must(net.Subscribe("sink", fmt.Sprintf("task/%d", i), sub))
+		must(sink.Subscribe(ctx, fmt.Sprintf("task/%d", i), sub))
 	}
 
 	// Sensor readings from region 0 (watched by ~a quarter of tasks).
-	readings := 0
 	for i := 0; i < nReadings; i++ {
 		p := subsume.NewPublication(
 			rng.Int64N(256),
 			rng.Int64N(500),
 			20+rng.Int64N(80),
 		)
-		must(net.Publish("field", fmt.Sprintf("r%d", i), p))
-		readings++
+		must(field.Publish(ctx, fmt.Sprintf("r%d", i), p))
 	}
 
-	// Count distinct readings that reached the sink (a reading can
-	// match several tasks; count it once).
+	var m pubsub.Metrics
+	for _, id := range net.Brokers() {
+		b, _ := net.Broker(id)
+		m.Add(b.Metrics())
+	}
+	dropped = net.Dropped()
+	// Shutdown closes the notification streams once drained, so the
+	// loop below sees every delivery. Count distinct readings that
+	// reached the sink (a reading can match several tasks; count it
+	// once).
+	must(net.Shutdown(ctx))
 	seen := map[string]bool{}
-	for _, n := range net.Notifications("sink") {
+	for n := range sink.Notifications() {
 		seen[fmt.Sprint(n.Pub)] = true
 	}
-	m := net.Metrics()
-	return len(seen), m.SubsForwarded, net.Dropped()
+	return len(seen), m.SubsForwarded, dropped
 }
 
 func must(err error) {

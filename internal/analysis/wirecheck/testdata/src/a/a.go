@@ -1,8 +1,7 @@
-// Package a is the wirecheck violation fixture: a miniature versioned
-// codec where one kind is missing everywhere (MsgD), one is missing
-// from the decode switch (MsgB), one has asymmetric fields (MsgC), one
-// has an ungated send case (MsgE), and one has no gate case at all
-// (MsgF). MsgA and MsgG are fully correct.
+// Package a is the wirecheck violation fixture: a miniature codec
+// where one kind is missing everywhere (MsgD), one is missing from the
+// decode switch (MsgB), and one has asymmetric fields (MsgC). MsgA and
+// MsgE are fully correct.
 package a
 
 type MsgKind uint8
@@ -13,8 +12,6 @@ const (
 	MsgC
 	MsgD
 	MsgE
-	MsgF
-	MsgG
 )
 
 type Message struct {
@@ -24,25 +21,6 @@ type Message struct {
 	C1   string
 	C2   string
 	E    int
-	F    int
-	G    int
-}
-
-type WireCodec uint8
-
-const (
-	CodecJSON WireCodec = iota
-	CodecBinary
-	CodecBinary2
-)
-
-var frameMinCodec = map[MsgKind]WireCodec{ // want `MsgD has no frameMinCodec entry`
-	MsgA: CodecJSON,
-	MsgB: CodecJSON,
-	MsgC: CodecJSON,
-	MsgE: CodecBinary2,
-	MsgF: CodecBinary, // want `MsgF requires codec ≥ 1 but no \+wirecheck:gate function has a case for it`
-	MsgG: CodecBinary,
 }
 
 func MarshalFrame(m *Message) []byte { // want `MsgD is not handled in the encode switch reachable from MarshalFrame`
@@ -63,10 +41,6 @@ func encodeBody(m *Message) []byte {
 		buf = appendString(buf, m.C2)
 	case MsgE:
 		buf = append(buf, byte(m.E))
-	case MsgF:
-		buf = append(buf, byte(m.F))
-	case MsgG:
-		buf = append(buf, byte(m.G))
 	}
 	return buf
 }
@@ -82,28 +56,8 @@ func UnmarshalFrame(data []byte) *Message { // want `MsgB is not handled in the 
 		m.B = len(data)
 	case MsgE:
 		m.E = int(data[1])
-	case MsgF:
-		m.F = int(data[1])
-	case MsgG:
-		m.G = int(data[1])
 	}
 	return &m
-}
-
-// send is the version-gated vocabulary switch of this fixture.
-//
-// +wirecheck:gate
-func send(peer WireCodec, m *Message) []byte {
-	switch m.Kind {
-	case MsgE: // want `MsgE requires codec ≥ 2 but this gate case has no negotiated-version check`
-		return MarshalFrame(m)
-	case MsgG:
-		if peer < CodecBinary {
-			return nil
-		}
-		return MarshalFrame(m)
-	}
-	return MarshalFrame(m)
 }
 
 func appendString(buf []byte, s string) []byte {

@@ -53,14 +53,14 @@ func wireFrame(shape string) *pubsub.Frame {
 }
 
 // WireCodecEncode measures marshaling one frame into a reused buffer.
-func WireCodecEncode(b *testing.B, codec pubsub.WireCodec, shape string) {
+func WireCodecEncode(b *testing.B, shape string) {
 	fr := wireFrame(shape)
 	var buf []byte
 	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = pubsub.MarshalFrame(codec, buf[:0], fr)
+		buf, err = pubsub.MarshalFrame(pubsub.CodecBinary5, buf[:0], fr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,8 +68,8 @@ func WireCodecEncode(b *testing.B, codec pubsub.WireCodec, shape string) {
 }
 
 // WireCodecDecode measures decoding one pre-encoded frame.
-func WireCodecDecode(b *testing.B, codec pubsub.WireCodec, shape string) {
-	data, err := pubsub.MarshalFrame(codec, nil, wireFrame(shape))
+func WireCodecDecode(b *testing.B, shape string) {
+	data, err := pubsub.MarshalFrame(pubsub.CodecBinary5, nil, wireFrame(shape))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,116 +86,19 @@ func WireCodecDecode(b *testing.B, codec pubsub.WireCodec, shape string) {
 // the TCPPublish body.
 const TCPPublishPublishers = 4
 
+// TCPPublishBatchSize is the per-frame burst of the pubbatch variant.
+const TCPPublishBatchSize = 16
+
 // TCPPublish is the end-to-end wire benchmark: publish throughput
 // through one TCP broker with 4 subscriber connections × 256 random
 // boxes and 4 concurrent publisher connections. The reported µs/pub
 // covers client encode, socket, broker decode + coalesced dispatch,
-// matching, and notification fan-out. dialCodec caps the clients so a
-// JSON-pinned run is JSON end to end.
-func TCPPublish(b *testing.B, dialCodec pubsub.WireCodec, opts ...pubsub.TCPOption) {
-	ctx := context.Background()
-	hub, err := pubsub.ListenBroker("HUB", "127.0.0.1:0", pubsub.Pairwise, pubsub.Config{}, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		hub.Shutdown(sctx)
-	}()
-
-	rng := rand.New(rand.NewPCG(11, 12))
-	const (
-		subClients    = 4
-		subsPerClient = 256
-	)
-	var drainers sync.WaitGroup
-	for i := 0; i < subClients; i++ {
-		sub, err := pubsub.Dial(ctx, hub.Addr(), fmt.Sprintf("sub%d", i), pubsub.WithDialCodec(dialCodec))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer sub.Close()
-		for j := 0; j < subsPerClient; j++ {
-			lo1, lo2 := rng.Int64N(90), rng.Int64N(90)
-			s := subscription.New(interval.New(lo1, lo1+10), interval.New(lo2, lo2+10))
-			if err := sub.Subscribe(ctx, fmt.Sprintf("s%d-%d", i, j), s); err != nil {
-				b.Fatal(err)
-			}
-		}
-		drainers.Add(1)
-		go func(c *pubsub.Client) {
-			defer drainers.Done()
-			for range c.Notifications() {
-			}
-		}(sub)
-	}
-	want := subClients * subsPerClient
-	waitFor(b, 10*time.Second, func() bool { return hub.Metrics().SubsReceived == want })
-
-	pubs := make([]*pubsub.Client, TCPPublishPublishers)
-	for i := range pubs {
-		c, err := pubsub.Dial(ctx, hub.Addr(), fmt.Sprintf("pub%d", i), pubsub.WithDialCodec(dialCodec))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		pubs[i] = c
-	}
-
-	before := hub.Metrics().PubsReceived
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for i, c := range pubs {
-		wg.Add(1)
-		go func(i int, c *pubsub.Client) {
-			defer wg.Done()
-			prng := rand.New(rand.NewPCG(uint64(i), 99))
-			for n := i; n < b.N; n += TCPPublishPublishers {
-				p := subscription.NewPublication(prng.Int64N(101), prng.Int64N(101))
-				if err := c.Publish(ctx, fmt.Sprintf("b%d-%d", i, n), p); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	// The op ends when the broker has processed the publication, not
-	// merely when the frame left the client.
-	waitFor(b, 60*time.Second, func() bool { return hub.Metrics().PubsReceived >= before+b.N })
-	b.StopTimer()
-}
-
-// TCPPublishJSON runs TCPPublish pinned to the PR-3 JSON codec on
-// both sides — the committed baseline the binary codec is compared
-// against in BENCH_*.json.
-func TCPPublishJSON(b *testing.B) {
-	TCPPublish(b, pubsub.CodecJSON, pubsub.WithWireCodec(pubsub.CodecJSON))
-}
-
-// TCPPublishBinary runs TCPPublish with binary negotiation (the
-// default production path).
-func TCPPublishBinary(b *testing.B) {
-	TCPPublish(b, pubsub.CodecBinary)
-}
-
-// TCPPublishSerialized is the pre-pipeline ablation: one global
-// dispatch mutex, inline encode (JSON, as the old server was).
-func TCPPublishSerialized(b *testing.B) {
-	TCPPublish(b, pubsub.CodecJSON, pubsub.WithWireCodec(pubsub.CodecJSON), pubsub.WithSerializedDispatch())
-}
-
-// TCPPublishBatchSize is the per-frame burst of the pubbatch variant.
-const TCPPublishBatchSize = 16
-
-// TCPPublishBatch is the deliberate producer-side batching variant of
-// TCPPublish: the same subscriber population and publisher count, but
-// each publisher sends its publications as PUBBATCH frames of
-// TCPPublishBatchSize through Client.PublishBatch — one frame encode,
-// one socket write, and one broker lock acquisition per batch instead
-// of per publication. The reported time is still per publication.
-func TCPPublishBatch(b *testing.B) {
+// matching, and notification fan-out. With batch > 1 each publisher
+// sends its publications as PUBBATCH frames of that many through
+// Client.PublishBatch — one frame encode, one socket write, and one
+// broker lock acquisition per batch instead of per publication; the
+// reported time is still per publication.
+func TCPPublish(b *testing.B, batch int) {
 	ctx := context.Background()
 	hub, err := pubsub.ListenBroker("HUB", "127.0.0.1:0", pubsub.Pairwise, pubsub.Config{})
 	if err != nil {
@@ -254,28 +157,39 @@ func TCPPublishBatch(b *testing.B) {
 		go func(i int, c *pubsub.Client) {
 			defer wg.Done()
 			prng := rand.New(rand.NewPCG(uint64(i), 99))
-			batch := make([]pubsub.BatchPub, 0, TCPPublishBatchSize)
+			pending := make([]pubsub.BatchPub, 0, batch)
+			flush := func() bool {
+				if len(pending) == 0 {
+					return true
+				}
+				var err error
+				if len(pending) == 1 {
+					err = c.Publish(ctx, pending[0].PubID, pending[0].Pub)
+				} else {
+					err = c.PublishBatch(ctx, pending)
+				}
+				pending = pending[:0]
+				if err != nil {
+					b.Error(err)
+					return false
+				}
+				return true
+			}
 			for n := i; n < b.N; n += TCPPublishPublishers {
-				batch = append(batch, pubsub.BatchPub{
+				pending = append(pending, pubsub.BatchPub{
 					PubID: fmt.Sprintf("b%d-%d", i, n),
 					Pub:   subscription.NewPublication(prng.Int64N(101), prng.Int64N(101)),
 				})
-				if len(batch) == TCPPublishBatchSize {
-					if err := c.PublishBatch(ctx, batch); err != nil {
-						b.Error(err)
-						return
-					}
-					batch = batch[:0]
+				if len(pending) >= batch && !flush() {
+					return
 				}
 			}
-			if len(batch) > 0 {
-				if err := c.PublishBatch(ctx, batch); err != nil {
-					b.Error(err)
-				}
-			}
+			flush()
 		}(i, c)
 	}
 	wg.Wait()
+	// The op ends when the broker has processed the publication, not
+	// merely when the frame left the client.
 	waitFor(b, 60*time.Second, func() bool { return hub.Metrics().PubsReceived >= before+b.N })
 	b.StopTimer()
 }

@@ -63,8 +63,8 @@ const (
 	MsgPong
 	// MsgGossip carries an anti-entropy snapshot of the sender's member
 	// list (cluster membership). It may piggyback a LinkDigest of the
-	// subscriptions the sender believes this link carries (wire v3);
-	// the receiving broker compares it against what it actually
+	// subscriptions the sender believes this link carries; the
+	// receiving broker compares it against what it actually
 	// received and starts a sync exchange on mismatch.
 	MsgGossip
 	// MsgSyncRequest asks a neighbor to re-sync this link: the sender's
@@ -77,24 +77,22 @@ const (
 	// receiver as ONE batch; received subscriptions in those buckets
 	// that are absent from the frame are stale and garbage-collected.
 	MsgSyncRoots
-	// MsgPingReq is the SWIM indirect probe (wire v4). With Ack unset
+	// MsgPingReq is the SWIM indirect probe. With Ack unset
 	// it asks the receiving relay to ping Target on the origin's
 	// behalf; with Ack set it is the relay's answer back to the origin
 	// confirming Target responded. Either direction may piggyback
 	// membership deltas in Members.
 	MsgPingReq
 	// MsgGossipDelta carries a bounded batch of membership updates
-	// (wire v4) instead of MsgGossip's full member-list snapshot. Like
+	// instead of MsgGossip's full member-list snapshot. Like
 	// MsgGossip it may piggyback a LinkDigest for subscription-set
 	// reconciliation on the link.
 	MsgGossipDelta
 	// MsgRouteAnnounce routes a batch of subscriptions hop-by-hop
-	// toward the rendezvous broker named in Target (wire v5) instead of
+	// toward the rendezvous broker named in Target instead of
 	// flooding them on every link. Each broker on the path installs the
 	// normal reverse-path state and relays the uncovered subset one hop
-	// closer; at the rendezvous the announce terminates. Peers that
-	// predate the kind receive the flood form (MsgSubscribeBatch)
-	// instead — see the transport's version gate.
+	// closer; at the rendezvous the announce terminates.
 	MsgRouteAnnounce
 )
 
@@ -205,8 +203,7 @@ type Message struct {
 	Seq uint64 `json:"seq,omitempty"`
 	// Members is the MsgGossip payload (the sender's full member
 	// list), the MsgGossipDelta payload (a bounded update batch), or a
-	// piggybacked delta batch on MsgPing/MsgPong/MsgPingReq (wire v4;
-	// stripped toward older peers).
+	// piggybacked delta batch on MsgPing/MsgPong/MsgPingReq.
 	Members []MemberInfo `json:"members,omitempty"`
 	// Target names the member a MsgPingReq asks a relay to probe (or,
 	// on the ack, the member the relay confirmed alive).
@@ -215,8 +212,7 @@ type Message struct {
 	// rather than a probe request toward the relay.
 	Ack bool `json:"ack,omitempty"`
 	// Digest optionally piggybacks on MsgGossip / MsgGossipDelta: the
-	// sender's subscription-set digest for this link (wire v3;
-	// stripped toward older peers).
+	// sender's subscription-set digest for this link.
 	Digest *LinkDigest `json:"digest,omitempty"`
 	// MemberHash is the MsgGossipDelta anti-entropy digest: an
 	// order-independent hash of the sender's entire member view (never

@@ -12,7 +12,7 @@
 // included).
 //
 // The exchange rides the membership layer: gossip toward a link
-// piggybacks the sender's LinkDigest (wire v3). On mismatch the
+// piggybacks the sender's LinkDigest. On mismatch the
 // receiver answers with ONE MsgSyncRequest carrying its per-bucket
 // hashes; the sender replies with ONE MsgSyncRoots carrying only the
 // differing buckets' roots; the receiver admits missing roots as ONE

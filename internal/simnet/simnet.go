@@ -415,6 +415,19 @@ func (n *Network) Delivered(client string) []broker.Message {
 	return out
 }
 
+// DeliveredSince returns the notifications a client received after its
+// first from ones, in order, without copying: the slice aliases the
+// network's log, so callers only read it and only until the next
+// operation. Incremental readers use it to stay O(new deliveries)
+// per operation where Delivered costs O(all deliveries).
+func (n *Network) DeliveredSince(client string, from int) []broker.Message {
+	msgs := n.delivered[client]
+	if from >= len(msgs) {
+		return nil
+	}
+	return msgs[from:len(msgs):len(msgs)]
+}
+
 // ClearDeliveries empties all client mailboxes (useful between
 // experiment phases).
 func (n *Network) ClearDeliveries() {

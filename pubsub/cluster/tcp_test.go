@@ -8,9 +8,12 @@ package cluster
 // cluster assembles itself into a mesh through gossip.
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -249,10 +252,12 @@ func publishUntil(t *testing.T, pub, sub *pubsub.Client, prefix string, p pubsub
 	t.Fatalf("no %s-* publication delivered after 5 attempts", prefix)
 }
 
-// TestClusterNeverSendsControlToLegacyPeer pins backward interop: a
-// peer that advertises no cluster protocol (a PR-4 build, modeled by
-// a raw JSON acceptor that fails the test on any post-batch kind)
-// receives routing traffic but never a ping, pong, or gossip frame.
+// TestClusterNeverSendsControlToLegacyPeer pins the control-frame
+// gate: a peer whose handshake advertises no cluster protocol — here a
+// raw acceptor of the current wire version without a membership
+// layer, which fails the test on any control kind — receives routing
+// traffic but never a ping, pong, gossip, ping-req, or gossip-delta
+// frame.
 func TestClusterNeverSendsControlToLegacyPeer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -268,26 +273,38 @@ func TestClusterNeverSendsControlToLegacyPeer(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		dec := json.NewDecoder(conn)
+		r := bufio.NewReader(conn)
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			fail <- err
+			return
+		}
 		var hello pubsub.Frame
-		if err := dec.Decode(&hello); err != nil || hello.Hello == "" {
-			fail <- fmt.Errorf("bad hello %+v: %v", hello, err)
+		if err := json.Unmarshal(line, &hello); err != nil || hello.Hello == "" {
+			fail <- fmt.Errorf("bad hello %q: %v", line, err)
 			return
 		}
 		if hello.Cluster == 0 {
 			fail <- fmt.Errorf("cluster broker did not advertise the membership protocol")
 			return
 		}
+		// Ack with this build's wire version and no cluster layer.
+		ack, err := pubsub.MarshalFrame(pubsub.CodecJSON, nil, &pubsub.Frame{Ack: "OLD", Codec: uint8(pubsub.CodecBinary5)})
+		if err != nil {
+			fail <- err
+			return
+		}
+		if _, err := conn.Write(ack); err != nil {
+			fail <- err
+			return
+		}
 		for {
-			var fr pubsub.Frame
-			if err := dec.Decode(&fr); err != nil {
+			fr, err := readBinaryFrame(r)
+			if err != nil {
 				return
 			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgUnsubscribeBatch {
-				fail <- fmt.Errorf("legacy peer received kind %v", fr.Msg.Kind)
+			if fr.Msg.Kind.IsControl() {
+				fail <- fmt.Errorf("peer without a cluster layer received kind %v", fr.Msg.Kind)
 				return
 			}
 			got <- fr.Msg.Kind
@@ -303,7 +320,7 @@ func TestClusterNeverSendsControlToLegacyPeer(t *testing.T) {
 	defer n.Close()
 	n.AddMember(Member{ID: "OLD", Addr: ln.Addr().String()}, true)
 
-	waitFor(t, 5*time.Second, "link to the legacy peer", func() bool {
+	waitFor(t, 5*time.Second, "link to the peer without a cluster layer", func() bool {
 		m, ok := n.Member("OLD")
 		return ok && m.State == StateAlive
 	})
@@ -322,12 +339,12 @@ func TestClusterNeverSendsControlToLegacyPeer(t *testing.T) {
 	select {
 	case k := <-got:
 		if k != broker.MsgSubscribe {
-			t.Fatalf("legacy peer received %v, want the forwarded subscribe", k)
+			t.Fatalf("peer without a cluster layer received %v, want the forwarded subscribe", k)
 		}
 	case err := <-fail:
 		t.Fatal(err)
 	case <-time.After(5 * time.Second):
-		t.Fatal("forwarded subscribe never reached the legacy peer")
+		t.Fatal("forwarded subscribe never reached the peer without a cluster layer")
 	}
 	// ...and several detector/gossip periods pass without a single
 	// control frame reaching it.
@@ -338,90 +355,19 @@ func TestClusterNeverSendsControlToLegacyPeer(t *testing.T) {
 	}
 }
 
-// TestClusterMixedVersionInterop pins the v4 rollout promise in both
-// directions: brokers capped at the v3 and v2 vocabularies (on the
-// wire, exact models of the older builds) cluster with a current v4
-// broker — the v4 side falls back to full-snapshot gossip toward them
-// and never leaks a SWIM frame (a legacy decoder rejects the v4
-// header, which would kill the link and show up here as a dead
-// member) — and gossip through the v4 seed still introduces the two
-// legacy peers to each other.
-func TestClusterMixedVersionInterop(t *testing.T) {
-	mesh := func() Config { c := fastConfig(); c.Mesh = true; return c }
-	b1, err := pubsub.ListenBroker("B1", "127.0.0.1:0", pubsub.Pairwise, pubsub.Config{})
-	if err != nil {
-		t.Fatal(err)
+// readBinaryFrame reads one length-prefixed binary frame: the 6-byte
+// header's length field sizes the rest.
+func readBinaryFrame(r *bufio.Reader) (pubsub.Frame, error) {
+	hdr := make([]byte, 6)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return pubsub.Frame{}, err
 	}
-	defer tcpShutdown(t, b1)
-	n1 := Attach(b1, mesh())
-	defer n1.Close()
-
-	seeds := map[string]string{"B1": b1.Addr()}
-	n2, b2, err := Join("V3", "127.0.0.1:0", seeds, pubsub.Pairwise, pubsub.Config{}, mesh(),
-		pubsub.WithWireCodec(pubsub.CodecBinary3))
-	if err != nil {
-		t.Fatal(err)
+	data := append(hdr, make([]byte, binary.LittleEndian.Uint32(hdr[2:]))...)
+	if _, err := io.ReadFull(r, data[6:]); err != nil {
+		return pubsub.Frame{}, err
 	}
-	defer func() { n2.Close(); tcpShutdown(t, b2) }()
-	n3, b3, err := Join("V2", "127.0.0.1:0", seeds, pubsub.Pairwise, pubsub.Config{}, mesh(),
-		pubsub.WithWireCodec(pubsub.CodecBinary2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { n3.Close(); tcpShutdown(t, b3) }()
-
-	nodes := map[string]*Node{"B1": n1, "V3": n2, "V2": n3}
-	waitFor(t, 10*time.Second, "every broker to see every other alive", func() bool {
-		for self, n := range nodes {
-			for other := range nodes {
-				if other == self {
-					continue
-				}
-				if m, ok := n.Member(other); !ok || m.State != StateAlive {
-					return false
-				}
-			}
-		}
-		return true
-	})
-	// Hold the mixed cluster through several detector and gossip
-	// periods: a v4 frame leaked toward a legacy peer would fail its
-	// decoder, drop the link, and flip a member out of alive.
-	time.Sleep(500 * time.Millisecond)
-	for self, n := range nodes {
-		for other := range nodes {
-			if other == self {
-				continue
-			}
-			if m, ok := n.Member(other); !ok || m.State != StateAlive {
-				t.Fatalf("%s sees %s in state %v after steady mixed-version traffic", self, other, m.State)
-			}
-		}
-	}
-	// Routing traffic crosses the version boundary too: a subscription
-	// on the v2 broker matches a publication from the v4 one.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	sub, err := pubsub.Dial(ctx, b3.Addr(), "legacy-subscriber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-	if err := sub.Subscribe(ctx, "s1", tile2(0, 50)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "the subscription to reach B1", func() bool {
-		return b1.Metrics().SubsReceived > 0
-	})
-	pub, err := pubsub.Dial(ctx, b1.Addr(), "modern-publisher")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	if err := pub.Publish(ctx, "p1", subscription.NewPublication(25, 25)); err != nil {
-		t.Fatal(err)
-	}
-	recvNotification(t, sub, 10*time.Second, "p1")
+	fr, _, err := pubsub.UnmarshalFrame(data)
+	return fr, err
 }
 
 // TestClusterSeedMeshDiscovery pins self-assembly from a seed list:

@@ -2,30 +2,29 @@ package pubsub
 
 // Wire codecs: how a Frame becomes bytes on a TCP connection.
 //
-// Two codecs share the stream:
+// Two encodings share the stream:
 //
-//   - CodecJSON is the PR-3 format — one JSON object per line, as
-//     written by encoding/json. It remains the format of the
-//     handshake (hello and ack frames are ALWAYS JSON, so version
-//     negotiation itself never depends on the negotiated version) and
-//     the fallback for peers that never advertised anything newer.
-//   - CodecBinary is the length-prefixed binary format: a 6-byte
-//     header (magic 0xBF, version, uint32 little-endian payload
-//     length) followed by a varint-encoded payload. 0xBF is a UTF-8
-//     continuation byte, so no JSON value can start with it — every
-//     frame on the wire is self-describing and a decoder handles
-//     mixed streams without per-connection state.
+//   - CodecJSON is one JSON object per line, as written by
+//     encoding/json. On the wire it carries only the handshake: the
+//     hello and ack frames that open every connection and advertise
+//     the sender's wire version (see tcp.go). A JSON message frame
+//     still round-trips through MarshalFrame/UnmarshalFrame, but the
+//     transport closes any connection that sends one after the
+//     handshake.
+//   - CodecBinary5 is the length-prefixed binary format every message
+//     travels in: a 6-byte header (magic 0xBF, version, uint32
+//     little-endian payload length) followed by a varint-encoded
+//     payload. 0xBF is a UTF-8 continuation byte, so no JSON value can
+//     start with it — the first byte tells the two encodings apart.
 //
-// A sender may emit binary frames only after the remote end said it
-// decodes them (the `codec` field of its hello or ack); see tcp.go
-// for the negotiation. Decoding is therefore strictly more liberal
-// than encoding, which is what keeps old JSON-only peers working
-// against new brokers in both directions.
+// The header's version byte keeps the format open to a later
+// vocabulary: a decoder accepts exactly its own version, and the
+// handshake refuses a peer that advertises any other one.
 //
-// # Binary frame layout (version 1)
+// # Binary frame layout
 //
 //	offset 0      magic 0xBF
-//	offset 1      version (0x01)
+//	offset 1      version (0x05)
 //	offset 2..5   payload length, uint32 little-endian (≤ 16 MiB)
 //	offset 6..    payload
 //
@@ -36,10 +35,26 @@ package pubsub
 //	  notify             subID, pubID, publication
 //	  subscribe-batch    uvarint n, then n × (subID, subscription)
 //	  unsubscribe-batch  uvarint n, then n × subID
+//	  publish-batch      uvarint n, then n × (pubID, publication)
+//	  ping, pong         uvarint seq [, members]
+//	  gossip             members [, digest]
+//	  gossip-delta       members, u64 member hash (≠ 0) [, digest]
+//	  ping-req           flags byte (bit0 = ack), target, uvarint seq, members
+//	  sync-request       uvarint n, then n × u64 bucket hash
+//	  sync-roots         u64 mask, uvarint n, then n × (subID, subscription)
+//	  route-announce     target, uvarint n, then n × (subID, subscription)
 //
-//	string        uvarint byte length, raw bytes
+//	string        uvarint byte length, raw UTF-8 bytes
 //	subscription  uvarint bound count, then per bound varint lo, hi
 //	publication   uvarint value count, then varint values
+//	members       uvarint n, then n × (id, addr, uvarint incarnation, state byte)
+//	digest        presence byte 1, uvarint count, u64 root
+//	u64           8 bytes little-endian
+//
+// Bracketed tails are optional: a frame without one ends before it.
+// The durability journal stores message payloads in this same grammar
+// (see persist.go), so the payload bytes may not change without a
+// journal migration.
 //
 // Encoding appends into pooled buffers and writes each frame with one
 // Write call; decoding parses in place from the connection's read
@@ -51,6 +66,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"unicode/utf8"
@@ -60,45 +76,19 @@ import (
 	"probsum/internal/subscription"
 )
 
-// WireCodec identifies a frame encoding on the TCP transport.
+// WireCodec identifies a frame encoding on the TCP transport. Its
+// value doubles as the wire version advertised in hello and ack
+// frames.
 type WireCodec uint8
 
-// Wire codecs. The numeric value doubles as the version advertised in
-// hello/ack frames: 0 means "JSON only" (what PR-3 peers implicitly
-// advertise by omitting the field), 1 means "binary v1 decoded here"
-// (PR-4 builds), 2 means "binary v2": the same framing and payload
-// grammar as v1 extended with the PUBBATCH and cluster-control
-// (ping/pong/gossip) message kinds. The version a peer advertises
-// therefore caps both the FRAMING it is sent and the VOCABULARY:
-// senders split publish batches (and never send control kinds) toward
-// peers that advertised less than 2, exactly as PR-4 already split
-// SUBBATCH toward peers that advertised nothing.
+// Wire codecs.
 const (
-	// CodecJSON is newline-delimited JSON — the PR-3 wire format.
+	// CodecJSON is newline-delimited JSON — the handshake encoding.
 	CodecJSON WireCodec = 0
-	// CodecBinary is the length-prefixed binary format, version 1.
-	CodecBinary WireCodec = 1
-	// CodecBinary2 adds the publish-batch and cluster-control kinds.
-	CodecBinary2 WireCodec = 2
-	// CodecBinary3 adds the durability/reconciliation vocabulary: the
-	// optional link-digest field piggybacked on gossip frames and the
-	// sync-request / sync-roots anti-entropy kinds. Toward peers that
-	// advertised less, senders strip the digest and drop sync frames —
-	// the link then simply keeps PR-5 semantics (forward healing only).
-	CodecBinary3 WireCodec = 3
-	// CodecBinary4 adds the SWIM-scale membership vocabulary: the
-	// ping-req indirect-probe and gossip-delta kinds, plus optional
-	// membership deltas piggybacked on ping/pong frames. Toward peers
-	// that advertised less, senders drop the new kinds and strip the
-	// piggybacked deltas — the link then keeps PR-5/6 full-snapshot
-	// gossip semantics.
-	CodecBinary4 WireCodec = 4
-	// CodecBinary5 adds the structured-routing vocabulary: the
-	// route-announce kind that carries subscriptions hop-by-hop toward
-	// a rendezvous broker. Toward peers that advertised less, senders
-	// rewrite a route announce as its flood form (a subscribe-batch
-	// with the same items) — the link then keeps flood semantics, which
-	// routed delivery is a strict subset of.
+	// CodecBinary5 is the length-prefixed binary format and the one
+	// wire version this build speaks. The number continues the
+	// version history of the format, so a peer from an older build
+	// that advertises 1–4 is told apart from this one at hello.
 	CodecBinary5 WireCodec = 5
 )
 
@@ -107,14 +97,6 @@ func (c WireCodec) String() string {
 	switch c {
 	case CodecJSON:
 		return "json"
-	case CodecBinary:
-		return "binary-v1"
-	case CodecBinary2:
-		return "binary-v2"
-	case CodecBinary3:
-		return "binary-v3"
-	case CodecBinary4:
-		return "binary-v4"
 	case CodecBinary5:
 		return "binary"
 	default:
@@ -122,110 +104,26 @@ func (c WireCodec) String() string {
 	}
 }
 
-// ParseWireCodec parses a codec name as accepted by the CLI tools:
-// "json", "binary" (the latest binary version), and the pinned
-// historical vocabularies "binary-v1" (PR-4), "binary-v2" (PR-5),
-// "binary-v3" (PR-6/7), and "binary-v4" (PR-8), for interop tests and
-// staged rollouts.
-func ParseWireCodec(s string) (WireCodec, error) {
-	switch s {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary5, nil
-	case "binary-v1":
-		return CodecBinary, nil
-	case "binary-v2":
-		return CodecBinary2, nil
-	case "binary-v3":
-		return CodecBinary3, nil
-	case "binary-v4":
-		return CodecBinary4, nil
-	default:
-		return 0, fmt.Errorf("pubsub: unknown wire codec %q (want json | binary | binary-v1 | binary-v2 | binary-v3 | binary-v4)", s)
-	}
-}
+// errWireVersion marks a handshake refused because the remote end
+// advertised another wire version.
+var errWireVersion = errors.New("pubsub: wire version mismatch")
 
-// negotiate returns the codec to write with, given our own cap and
-// what the remote advertised it decodes: the smaller of the two binary
-// versions when both sides decode binary, JSON otherwise.
-func (c WireCodec) negotiate(remote WireCodec) WireCodec {
-	if c >= CodecBinary && remote >= CodecBinary {
-		return min(c, remote)
-	}
-	return CodecJSON
+// wireVersionError is the handshake refusal of a remote end that
+// advertised another wire version; it names both versions.
+func wireVersionError(who string, advertised uint8) error {
+	return fmt.Errorf("%w: %s speaks wire version %d, this build speaks only version %d",
+		errWireVersion, who, advertised, uint8(CodecBinary5))
 }
 
 const (
 	binMagic = 0xBF
-	// binVersion and binVersion2 are the header version bytes. The
-	// byte is tied to the MESSAGE KIND, not the negotiated codec: the
-	// PR-4 kinds keep emitting byte-identical v1 frames (so v1 decoders
-	// and the committed fuzz corpus are untouched), while the kinds v1
-	// decoders do not know travel under the v2 byte — a v1 peer that is
-	// accidentally sent one fails at the header, the cheapest place.
-	binVersion  = 1
-	binVersion2 = 2
-	binVersion3 = 3
-	binVersion4 = 4
-	binVersion5 = 5
-	binHeader   = 6
+	// binVersion is the header version byte of every binary frame.
+	binVersion = byte(CodecBinary5)
+	binHeader  = 6
 	// maxBinaryPayload bounds a decoded frame; hostile length fields
 	// cannot force large allocations past it.
 	maxBinaryPayload = 16 << 20
 )
-
-// frameMinCodec is the wire vocabulary registry: for every frame
-// kind, the minimum negotiated codec a destination must have
-// advertised before a frame of that kind may be sent to it. brokervet's
-// wirecheck pass enforces that the registry stays total over the Msg*
-// kinds and that every kind above the JSON baseline keeps a
-// version-gated case in the transport's send path (tcpServer.send),
-// so "added a frame kind, forgot the gate" fails the build instead of
-// the fuzz corpus.
-var frameMinCodec = map[broker.MsgKind]WireCodec{
-	broker.MsgSubscribe:        CodecJSON,
-	broker.MsgUnsubscribe:      CodecJSON,
-	broker.MsgPublish:          CodecJSON,
-	broker.MsgNotify:           CodecJSON,
-	broker.MsgSubscribeBatch:   CodecBinary,
-	broker.MsgUnsubscribeBatch: CodecBinary,
-	broker.MsgPublishBatch:     CodecBinary2,
-	broker.MsgPing:             CodecBinary2,
-	broker.MsgPong:             CodecBinary2,
-	broker.MsgGossip:           CodecBinary2,
-	broker.MsgSyncRequest:      CodecBinary3,
-	broker.MsgSyncRoots:        CodecBinary3,
-	broker.MsgPingReq:          CodecBinary4,
-	broker.MsgGossipDelta:      CodecBinary4,
-	broker.MsgRouteAnnounce:    CodecBinary5,
-}
-
-// wireVersionOf returns the header version byte for a message. The
-// byte is tied to the VOCABULARY the frame uses, not the negotiated
-// codec: PR-4 kinds keep emitting byte-identical v1 frames, PR-5
-// kinds v2 frames, and only the durability vocabulary — the sync
-// kinds, and gossip when it actually piggybacks a digest — travels
-// under the v3 byte, so an older peer accidentally sent one fails at
-// the header, the cheapest place. The kind→vocabulary mapping is
-// frameMinCodec's; kinds at the JSON baseline ride the v1 binary
-// framing.
-func wireVersionOf(m *broker.Message) byte {
-	switch m.Kind {
-	case broker.MsgGossip:
-		if m.Digest != nil {
-			return binVersion3
-		}
-	case broker.MsgPing, broker.MsgPong:
-		if len(m.Members) > 0 {
-			return binVersion4
-		}
-	}
-	if v := frameMinCodec[m.Kind]; v >= CodecBinary {
-		return byte(v)
-	}
-	return binVersion
-}
 
 // encBufPool pools encode scratch buffers across writers, readers'
 // replies, and client sends.
@@ -250,7 +148,7 @@ func MarshalFrame(codec WireCodec, buf []byte, fr *Frame) ([]byte, error) {
 		}
 		buf = append(buf, data...)
 		return append(buf, '\n'), nil
-	case CodecBinary, CodecBinary2, CodecBinary3, CodecBinary4, CodecBinary5:
+	case CodecBinary5:
 		return appendBinaryFrame(buf, fr)
 	default:
 		return buf, fmt.Errorf("pubsub: cannot marshal under codec %d", codec)
@@ -287,7 +185,7 @@ func appendBinaryFrame(buf []byte, fr *Frame) ([]byte, error) {
 		return buf, fmt.Errorf("pubsub: binary codec carries only message frames (handshake stays JSON)")
 	}
 	start := len(buf)
-	buf = append(buf, binMagic, wireVersionOf(fr.Msg), 0, 0, 0, 0)
+	buf = append(buf, binMagic, binVersion, 0, 0, 0, 0)
 	var err error
 	if buf, err = appendBinaryMessage(buf, fr.Msg); err != nil {
 		return buf[:start], err
@@ -334,28 +232,21 @@ func appendBinaryMessage(buf []byte, m *broker.Message) ([]byte, error) {
 		}
 	case broker.MsgPing, broker.MsgPong:
 		buf = binary.AppendUvarint(buf, m.Seq)
-		// Optional piggybacked membership deltas (v4). Like the gossip
-		// digest below, absence keeps the frame byte-identical to the
-		// v2 encoding; v2/v3 decoders reject trailing bytes, so deltas
-		// only travel toward peers that advertised v4 (see tcp.go).
+		// Optional piggybacked membership deltas; without them the
+		// frame ends after the seq.
 		if len(m.Members) > 0 {
 			buf = appendMembers(buf, m.Members)
 		}
 	case broker.MsgGossip, broker.MsgGossipDelta:
 		buf = appendMembers(buf, m.Members)
-		// The delta frame (v4, new vocabulary) carries a REQUIRED
-		// member-view hash between the update batch and the optional
-		// link digest — the anti-entropy trigger that keeps delta-only
-		// dissemination complete.
+		// The delta frame carries a REQUIRED member-view hash between
+		// the update batch and the optional link digest — the
+		// anti-entropy trigger that keeps delta-only dissemination
+		// complete.
 		if m.Kind == broker.MsgGossipDelta {
 			buf = binary.LittleEndian.AppendUint64(buf, m.MemberHash)
 		}
-		// Optional link digest (v3): presence byte, count, fixed root.
-		// Absent, the full-gossip frame is byte-identical to the v2
-		// encoding — the invariant that keeps v2 decoders and the
-		// committed corpus working (v2 decoders reject trailing bytes,
-		// so a digest can only travel toward peers that advertised v3;
-		// see tcp.go).
+		// Optional link digest: presence byte, count, fixed root.
 		if m.Digest != nil {
 			buf = append(buf, 1)
 			buf = binary.AppendUvarint(buf, uint64(m.Digest.Count))
@@ -401,7 +292,7 @@ func appendString(buf []byte, s string) []byte {
 }
 
 // appendMembers appends a uvarint-counted member-record list — the
-// shared payload shape of gossip, gossip-delta, ping-req, and the v4
+// shared payload shape of gossip, gossip-delta, ping-req, and the
 // ping/pong piggyback tail.
 func appendMembers(buf []byte, ms []broker.MemberInfo) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ms)))
@@ -436,8 +327,8 @@ func appendPublication(buf []byte, p subscription.Publication) []byte {
 // length — the single copy of the header contract shared by
 // UnmarshalFrame and the stream reader's blocking and buffered paths.
 func parseBinaryHeader(hdr []byte) (int, error) {
-	if hdr[1] < binVersion || hdr[1] > binVersion5 {
-		return 0, fmt.Errorf("pubsub: unsupported binary frame version %d", hdr[1])
+	if hdr[1] != binVersion {
+		return 0, fmt.Errorf("pubsub: binary frame version %d, this build decodes only version %d", hdr[1], binVersion)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[2:binHeader]))
 	if n > maxBinaryPayload {
@@ -518,7 +409,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 		}
 	case broker.MsgPing, broker.MsgPong:
 		msg.Seq = d.uvarint()
-		// Optional v4 piggybacked membership deltas after the seq.
+		// Optional piggybacked membership deltas after the seq.
 		if d.err == nil && len(d.buf) > 0 {
 			msg.Members = d.members()
 		}
@@ -530,7 +421,7 @@ func decodeBinaryMessage(payload []byte) (*broker.Message, error) {
 				d.fail("zero gossip-delta member hash")
 			}
 		}
-		// Optional v3 link digest: presence byte after the member list.
+		// Optional link digest: presence byte after the member list.
 		if d.err == nil && len(d.buf) > 0 {
 			if p := d.byte(); p != 1 {
 				d.fail("bad gossip digest presence byte %d", p)

@@ -1,18 +1,20 @@
 package pubsub
 
 // frameReader: the stream side of the codec. One instance wraps each
-// inbound connection; it sniffs every frame (JSON line or binary
-// header, see codec.go) so mixed-codec streams need no per-connection
-// mode, reuses one payload buffer across frames (pooled decode: a
+// connection; it sniffs every frame (JSON line or binary header, see
+// codec.go), reuses one payload buffer across frames (pooled decode: a
 // connection's frames never allocate fresh payload storage once the
 // buffer has grown to the connection's frame sizes), and exposes a
 // non-blocking tryRead so readers can coalesce frames that are
-// already buffered without risking a stall on a partial frame.
+// already buffered without risking a stall on a partial frame. Once
+// the transport has read the handshake it sets binaryOnly: from then
+// on a JSON frame is a protocol error, not a message.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -24,9 +26,15 @@ import (
 // decode on the blocking path, but cannot be coalesced by tryRead.
 const frameReaderBufSize = 64 << 10
 
+// errJSONAfterHandshake is the protocol error of a JSON frame on a
+// connection whose handshake is done: JSON carries hello and ack only.
+var errJSONAfterHandshake = errors.New("pubsub: JSON frame after the handshake (JSON carries hello and ack only)")
+
 type frameReader struct {
 	r       *bufio.Reader
 	payload []byte // reused binary-payload scratch
+	// binaryOnly rejects JSON frames (set once the handshake is read).
+	binaryOnly bool
 
 	// hist/clock, when set (server-side readers), time the decode
 	// stage: unmarshal only, never the blocking socket read. Both nil
@@ -96,6 +104,9 @@ func (fr *frameReader) read(f *Frame) error {
 		*f = Frame{Msg: msg}
 		return nil
 	}
+	if fr.binaryOnly {
+		return errJSONAfterHandshake
+	}
 	line, err := fr.r.ReadBytes('\n')
 	if err != nil {
 		return err
@@ -153,6 +164,9 @@ func (fr *frameReader) tryRead(f *Frame) (bool, error) {
 		fr.r.Discard(binHeader + plen)
 		*f = Frame{Msg: msg}
 		return true, nil
+	}
+	if fr.binaryOnly {
+		return false, errJSONAfterHandshake
 	}
 	i := bytes.IndexByte(buf, '\n')
 	if i < 0 {

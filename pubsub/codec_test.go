@@ -3,6 +3,7 @@ package pubsub
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -27,8 +28,8 @@ func codecTestFrames() []Frame {
 			{SubID: "b/2", Sub: sub2},
 		}}},
 		{Msg: &broker.Message{Kind: broker.MsgUnsubscribeBatch, SubIDs: []string{"b/1", "b/2"}}},
-		// The v2 vocabulary: producer-side publish batches and the
-		// cluster membership control frames.
+		// Producer-side publish batches and the cluster membership
+		// control frames.
 		{Msg: &broker.Message{Kind: broker.MsgPublishBatch, Pubs: []broker.BatchPub{
 			{PubID: "p-1", Pub: pub},
 			{PubID: "p-2", Pub: subscription.NewPublication(3)},
@@ -39,8 +40,8 @@ func codecTestFrames() []Frame {
 			{ID: "B1", Addr: "10.0.0.7:7001", Incarnation: 3, State: broker.MemberAlive},
 			{ID: "B2", Incarnation: 1, State: broker.MemberDead},
 		}}},
-		// The v3 vocabulary: gossip piggybacking a link digest, and the
-		// digest-mismatch sync exchange.
+		// Gossip piggybacking a link digest, and the digest-mismatch
+		// sync exchange.
 		{Msg: &broker.Message{Kind: broker.MsgGossip, Members: []broker.MemberInfo{
 			{ID: "B1", Addr: "10.0.0.7:7001", Incarnation: 3, State: broker.MemberAlive},
 		}, Digest: &broker.LinkDigest{Count: 7, Root: 0xC0FFEE}}},
@@ -48,9 +49,9 @@ func codecTestFrames() []Frame {
 		{Msg: &broker.Message{Kind: broker.MsgSyncRoots, Mask: 0b1010, Subs: []broker.BatchSub{
 			{SubID: "b/1", Sub: sub},
 		}}},
-		// The v4 vocabulary: indirect probes (both directions) and
-		// bounded delta gossip with its required member-view hash, plus
-		// the ping/pong piggyback tail.
+		// Indirect probes (both directions) and bounded delta gossip
+		// with its required member-view hash, plus the ping/pong
+		// piggyback tail.
 		{Msg: &broker.Message{Kind: broker.MsgPingReq, Target: "B3", Seq: 9, Members: []broker.MemberInfo{
 			{ID: "B4", Addr: "10.0.0.9:7001", Incarnation: 2, State: broker.MemberSuspect},
 		}}},
@@ -84,7 +85,7 @@ func canonMsg(t testing.TB, m *broker.Message) string {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
+	for _, codec := range []WireCodec{CodecJSON, CodecBinary5} {
 		for _, fr := range codecTestFrames() {
 			data, err := MarshalFrame(codec, nil, &fr)
 			if err != nil {
@@ -112,7 +113,7 @@ func TestCodecRoundTrip(t *testing.T) {
 // the same message, and vice versa.
 func TestCodecCrossDecode(t *testing.T) {
 	for _, fr := range codecTestFrames() {
-		bin, err := MarshalFrame(CodecBinary, nil, &fr)
+		bin, err := MarshalFrame(CodecBinary5, nil, &fr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,8 +137,8 @@ func TestCodecCrossDecode(t *testing.T) {
 }
 
 func TestCodecHandshakeFramesAreJSONOnly(t *testing.T) {
-	hello := Frame{Hello: "B1", Codec: uint8(CodecBinary)}
-	if _, err := MarshalFrame(CodecBinary, nil, &hello); err == nil {
+	hello := Frame{Hello: "B1", Codec: uint8(CodecBinary5)}
+	if _, err := MarshalFrame(CodecBinary5, nil, &hello); err == nil {
 		t.Fatal("binary marshal of a hello frame succeeded")
 	}
 	data, err := MarshalFrame(CodecJSON, nil, &hello)
@@ -148,13 +149,13 @@ func TestCodecHandshakeFramesAreJSONOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Hello != "B1" || WireCodec(got.Codec) != CodecBinary {
+	if got.Hello != "B1" || WireCodec(got.Codec) != CodecBinary5 {
 		t.Fatalf("hello round trip = %+v", got)
 	}
 }
 
 func TestCodecDecodeRejects(t *testing.T) {
-	valid, err := MarshalFrame(CodecBinary, nil, &codecTestFrames()[0])
+	valid, err := MarshalFrame(CodecBinary5, nil, &codecTestFrames()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,20 +168,67 @@ func TestCodecDecodeRejects(t *testing.T) {
 		"truncated header":  valid[:3],
 		"truncated payload": valid[:len(valid)-1],
 		"bad version":       {binMagic, 0x7F, 0, 0, 0, 0},
-		"trailing bytes":    trailing,
-		"oversized length":  {binMagic, binVersion, 0xFF, 0xFF, 0xFF, 0xFF},
-		"hostile count":     {binMagic, binVersion, 3, 0, 0, 0, byte(broker.MsgUnsubscribeBatch), 0xFF, 0x7F},
-		"unknown kind":      {binMagic, binVersion, 1, 0, 0, 0, 0x63},
-		"not json":          []byte("garbage\n"),
-		// v4 grammar rejects: the delta member-view hash is required and
+		// Frames under any other version byte are refused at the
+		// header, however well-formed the payload: an older build's
+		// publish (v1) and a newer one's (v6).
+		"older version":    withVersion(valid, binVersion-4),
+		"newer version":    withVersion(valid, binVersion+1),
+		"trailing bytes":   trailing,
+		"oversized length": {binMagic, binVersion, 0xFF, 0xFF, 0xFF, 0xFF},
+		"hostile count":    {binMagic, binVersion, 3, 0, 0, 0, byte(broker.MsgUnsubscribeBatch), 0xFF, 0x7F},
+		"unknown kind":     {binMagic, binVersion, 1, 0, 0, 0, 0x63},
+		"not json":         []byte("garbage\n"),
+		// Grammar rejects: the delta member-view hash is required and
 		// never zero; the ping-req flags byte has two defined values.
-		"zero delta hash":   {binMagic, binVersion4, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0, 0, 0, 0, 0, 0, 0, 0, 0},
-		"bad pingreq flags": {binMagic, binVersion4, 2, 0, 0, 0, byte(broker.MsgPingReq), 2},
+		"zero delta hash":   {binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"bad pingreq flags": {binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 2},
 	}
 	for name, data := range cases {
 		if _, _, err := UnmarshalFrame(data); err == nil {
 			t.Errorf("%s: decode succeeded", name)
 		}
+	}
+}
+
+// withVersion returns a copy of a binary frame with its header version
+// byte replaced.
+func withVersion(frame []byte, v byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[1] = v
+	return out
+}
+
+// TestFrameReaderBinaryOnly pins the post-handshake rule: once the
+// transport switched a reader to binaryOnly, a JSON frame — even a
+// well-formed message — is a protocol error in both the blocking and
+// the coalescing read, while binary frames still decode.
+func TestFrameReaderBinaryOnly(t *testing.T) {
+	frames := codecTestFrames()
+	bin, err := MarshalFrame(CodecBinary5, nil, &frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsn, err := MarshalFrame(CodecJSON, nil, &frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newFrameReader(bytes.NewReader(append(append([]byte{}, bin...), jsn...)))
+	r.binaryOnly = true
+	var fr Frame
+	if err := r.read(&fr); err != nil || fr.Msg == nil {
+		t.Fatalf("binary frame: %+v, %v", fr, err)
+	}
+	if err := r.read(&fr); !errors.Is(err, errJSONAfterHandshake) {
+		t.Fatalf("JSON frame after the handshake: err = %v, want %v", err, errJSONAfterHandshake)
+	}
+
+	r = newFrameReader(bytes.NewReader(append(append([]byte{}, bin...), jsn...)))
+	r.binaryOnly = true
+	if err := r.read(&fr); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := r.tryRead(&fr); ok || !errors.Is(err, errJSONAfterHandshake) {
+		t.Fatalf("buffered JSON frame after the handshake: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -193,7 +241,7 @@ func TestFrameReaderMixedStream(t *testing.T) {
 	for i, fr := range frames {
 		codec := CodecJSON
 		if i%2 == 1 {
-			codec = CodecBinary
+			codec = CodecBinary5
 		}
 		if stream, err = MarshalFrame(codec, stream, &fr); err != nil {
 			t.Fatal(err)
@@ -222,12 +270,12 @@ func TestFrameReaderTryReadCoalesces(t *testing.T) {
 	var err error
 	for _, id := range []string{"p1", "p2", "p3"} {
 		fr := pubFrame(id)
-		if stream, err = MarshalFrame(CodecBinary, stream, &fr); err != nil {
+		if stream, err = MarshalFrame(CodecBinary5, stream, &fr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	tail := pubFrame("p4")
-	tailBytes, err := MarshalFrame(CodecBinary, nil, &tail)
+	tailBytes, err := MarshalFrame(CodecBinary5, nil, &tail)
 	if err != nil {
 		t.Fatal(err)
 	}

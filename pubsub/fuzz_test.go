@@ -1,11 +1,12 @@
 package pubsub
 
-// Fuzz layer pinning the wire codec (ISSUE 4): decoding arbitrary
-// bytes never panics or over-reads, and every decodable frame
-// round-trips identically through both codecs — including the
-// JSON↔binary cross-decode of the shared message fields. The seed
-// corpus under testdata/fuzz/ holds one well-formed frame per message
-// kind in each codec plus malformed prefixes; regenerate it with
+// Fuzz layer pinning the wire codec: decoding arbitrary bytes never
+// panics or over-reads, and every decodable frame round-trips
+// identically through both encodings — including the JSON↔binary
+// cross-decode of the shared message fields. The seed corpus under
+// testdata/fuzz/ holds one well-formed frame per message kind in each
+// encoding, the handshake frames, and malformed or foreign-version
+// frames; regenerate it with
 //
 //	go test ./pubsub -run TestWriteFuzzCorpus -write-fuzz-corpus
 
@@ -25,8 +26,7 @@ import (
 )
 
 // wireKind reports whether k is a protocol message kind both codecs
-// express — through MsgGossipDelta since the v4 vocabulary (indirect
-// probes and bounded delta gossip).
+// express.
 func wireKind(k broker.MsgKind) bool {
 	return k >= broker.MsgSubscribe && k <= broker.MsgGossipDelta
 }
@@ -72,12 +72,12 @@ func wireClean(m *broker.Message) bool {
 }
 
 // fuzzSeeds returns the seed inputs shared by both fuzz targets and
-// the checked-in corpus: every message kind in both codecs, plus
-// malformed variants.
+// the checked-in corpus: every message kind in both encodings, the
+// handshake frames, plus malformed variants.
 func fuzzSeeds(tb testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, fr := range codecTestFrames() {
-		for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
+		for _, codec := range []WireCodec{CodecJSON, CodecBinary5} {
 			data, err := MarshalFrame(codec, nil, &fr)
 			if err != nil {
 				tb.Fatal(err)
@@ -85,11 +85,11 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 			seeds = append(seeds, data)
 		}
 	}
-	hello, err := MarshalFrame(CodecJSON, nil, &Frame{Hello: "B1", Client: true, Addr: "127.0.0.1:7001", Codec: 1})
+	hello, err := MarshalFrame(CodecJSON, nil, &Frame{Hello: "B1", Client: true, Addr: "127.0.0.1:7001", Codec: uint8(CodecBinary5)})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ack, err := MarshalFrame(CodecJSON, nil, &Frame{Ack: "B2", Codec: 1})
+	ack, err := MarshalFrame(CodecJSON, nil, &Frame{Ack: "B2", Codec: uint8(CodecBinary5), Cluster: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -101,19 +101,19 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		[]byte{binMagic},
 		[]byte{binMagic, binVersion, 0xFF, 0xFF, 0xFF, 0x00},
 		[]byte{binMagic, binVersion, 2, 0, 0, 0, 0x05, 0xFF},
-		// v2-header malformed variants: truncated gossip member count,
-		// and a v2 frame carrying a v1 kind (legal — version bytes cap
-		// the vocabulary, not the payload grammar).
-		[]byte{binMagic, binVersion2, 2, 0, 0, 0, 0x0a, 0xFF},
-		[]byte{binMagic, binVersion2, 0xFF, 0xFF, 0xFF, 0x7F},
-		// v4-header malformed variants: a gossip-delta truncated before
-		// its required member-view hash, a gossip-delta whose hash is
-		// the reserved zero, a ping-req with an undefined flags byte,
-		// and a ping-req truncated before its piggyback member list.
-		[]byte{binMagic, binVersion4, 2, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00},
-		[]byte{binMagic, binVersion4, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
-		[]byte{binMagic, binVersion4, 2, 0, 0, 0, byte(broker.MsgPingReq), 0x02},
-		[]byte{binMagic, binVersion4, 6, 0, 0, 0, byte(broker.MsgPingReq), 0x00, 0x02, 'B', '3', 0x07},
+		// A gossip frame with a truncated member count, and a
+		// well-formed unsubscribe under an older build's version byte
+		// (refused at the header).
+		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgGossip), 0xFF},
+		[]byte{binMagic, 1, 3, 0, 0, 0, byte(broker.MsgUnsubscribe), 0x01, 's'},
+		// A gossip-delta truncated before its required member-view
+		// hash, a gossip-delta whose hash is the reserved zero, a
+		// ping-req with an undefined flags byte, and a ping-req
+		// truncated before its piggyback member list.
+		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00},
+		[]byte{binMagic, binVersion, 10, 0, 0, 0, byte(broker.MsgGossipDelta), 0x00, 0, 0, 0, 0, 0, 0, 0, 0},
+		[]byte{binMagic, binVersion, 2, 0, 0, 0, byte(broker.MsgPingReq), 0x02},
+		[]byte{binMagic, binVersion, 6, 0, 0, 0, byte(broker.MsgPingReq), 0x00, 0x02, 'B', '3', 0x07},
 	)
 	return seeds
 }
@@ -144,7 +144,7 @@ func FuzzFrameDecode(f *testing.F) {
 			return
 		}
 		// Whatever decoded must re-encode under both codecs.
-		if _, err := MarshalFrame(CodecBinary, nil, &fr); err != nil {
+		if _, err := MarshalFrame(CodecBinary5, nil, &fr); err != nil {
 			t.Fatalf("binary re-encode of decoded frame: %v", err)
 		}
 		if _, err := MarshalFrame(CodecJSON, nil, &fr); err != nil {
@@ -170,7 +170,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// exactly the kind's protocol fields, where schemaless (and
 		// case-insensitive) JSON can smuggle extras — e.g. a batch
 		// payload on a plain subscribe — that no encoder emits.
-		bin, err := MarshalFrame(CodecBinary, nil, &fr)
+		bin, err := MarshalFrame(CodecBinary5, nil, &fr)
 		if err != nil {
 			t.Fatalf("binary canonicalization encode: %v", err)
 		}
@@ -179,7 +179,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("binary canonicalization decode: %v", err)
 		}
 		want := canonMsg(t, canon.Msg)
-		for _, codec := range []WireCodec{CodecJSON, CodecBinary} {
+		for _, codec := range []WireCodec{CodecJSON, CodecBinary5} {
 			enc, err := MarshalFrame(codec, nil, &canon)
 			if err != nil {
 				t.Fatalf("%v encode: %v", codec, err)

@@ -20,9 +20,6 @@
 //   - NewTCPTransport hosts it on real sockets with concurrent
 //     message handling; ListenBroker and Dial are the cross-process
 //     forms used by cmd/brokerd and cmd/psclient.
-//
-// Network is the older, simulator-only facade kept for callers that
-// want synchronous pull-style access to deliveries.
 package pubsub
 
 import (
@@ -30,7 +27,6 @@ import (
 	"strings"
 
 	"probsum/internal/broker"
-	"probsum/internal/simnet"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
 	"probsum/subsume"
@@ -176,102 +172,3 @@ func (c Config) TableOptions() []subsume.TableOption {
 	}
 	return opts
 }
-
-// Network is an in-process deterministic broker overlay.
-type Network struct {
-	inner  *simnet.Network
-	policy store.Policy
-	cfg    Config
-}
-
-// NewNetwork creates an empty overlay with the given coverage policy.
-func NewNetwork(policy Policy, cfg Config) (*Network, error) {
-	sp, err := policy.toStore()
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	var opts []simnet.Option
-	if cfg.DropRate > 0 || cfg.DupRate > 0 {
-		opts = append(opts, simnet.WithFailures(cfg.DropRate, cfg.DupRate, cfg.Seed^0xfa11))
-	}
-	return &Network{inner: simnet.New(opts...), policy: sp, cfg: cfg}, nil
-}
-
-// Dropped reports how many broker-to-broker messages failure injection
-// discarded.
-func (n *Network) Dropped() int { return n.inner.Dropped() }
-
-// AddBroker creates a broker node.
-func (n *Network) AddBroker(id string) error {
-	opts := []broker.Option{
-		broker.WithSeed(n.cfg.Seed),
-		broker.WithTableOptions(n.cfg.TableOptions()...),
-	}
-	return n.inner.AddBroker(id, n.policy, opts...)
-}
-
-// Connect links two brokers bidirectionally.
-func (n *Network) Connect(a, b string) error { return n.inner.Connect(a, b) }
-
-// AttachClient binds a client endpoint to a broker.
-func (n *Network) AttachClient(client, brokerID string) error {
-	return n.inner.AttachClient(client, brokerID)
-}
-
-// Subscribe announces a client subscription under a globally unique ID.
-func (n *Network) Subscribe(client, subID string, s Subscription) error {
-	if err := n.inner.ClientSubscribe(client, subID, s); err != nil {
-		return err
-	}
-	_, err := n.inner.Run()
-	return err
-}
-
-// Unsubscribe cancels a client subscription.
-func (n *Network) Unsubscribe(client, subID string) error {
-	if err := n.inner.ClientUnsubscribe(client, subID); err != nil {
-		return err
-	}
-	_, err := n.inner.Run()
-	return err
-}
-
-// Publish sends a publication from a client and routes it to all
-// matching subscribers.
-func (n *Network) Publish(client, pubID string, p Publication) error {
-	if err := n.inner.ClientPublish(client, pubID, p); err != nil {
-		return err
-	}
-	_, err := n.inner.Run()
-	return err
-}
-
-// Notifications returns (and leaves in place) the notifications a
-// client has received, in order.
-func (n *Network) Notifications(client string) []Notification {
-	msgs := n.inner.Delivered(client)
-	out := make([]Notification, 0, len(msgs))
-	for _, m := range msgs {
-		if m.Kind != broker.MsgNotify {
-			continue
-		}
-		out = append(out, Notification{SubID: m.SubID, PubID: m.PubID, Pub: m.Pub})
-	}
-	return out
-}
-
-// Metrics returns the summed broker counters.
-func (n *Network) Metrics() Metrics { return n.inner.TotalMetrics() }
-
-// BrokerMetrics returns one broker's counters.
-func (n *Network) BrokerMetrics(id string) (Metrics, error) {
-	b := n.inner.Broker(id)
-	if b == nil {
-		return Metrics{}, fmt.Errorf("pubsub: unknown broker %s", id)
-	}
-	return b.Metrics(), nil
-}
-
-// Brokers lists broker IDs, sorted.
-func (n *Network) Brokers() []string { return n.inner.BrokerIDs() }

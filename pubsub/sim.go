@@ -33,9 +33,9 @@ type SimTransport struct {
 }
 
 // NewSimTransport creates an empty simulated overlay with the given
-// coverage policy and tuning; AddBroker applies exactly the options
-// Network.AddBroker does, so sim transports and Networks built from
-// the same Config make identical coverage decisions.
+// coverage policy and tuning. AddBroker configures every broker from
+// Config.Seed and Config.TableOptions, exactly as TCP brokers built
+// from the same Config are.
 func NewSimTransport(policy Policy, cfg Config) (*SimTransport, error) {
 	sp, err := policy.toStore()
 	if err != nil {
@@ -159,7 +159,6 @@ func (s simBroker) sendPeer(id string, msg broker.Message) bool { return false }
 func (s simBroker) setPeerHooks(up, down func(peer string))     {}
 func (s simBroker) setControlHandler(h broker.ControlHandler)   { s.b.SetControlHandler(h) }
 func (s simBroker) peerCluster(id string) uint8                 { return 0 }
-func (s simBroker) peerWireCodec(id string) WireCodec           { return CodecBinary3 }
 func (s simBroker) journalRef() *BrokerJournal                  { return nil }
 func (s simBroker) recoveryStats() (RecoveryStats, bool)        { return RecoveryStats{}, false }
 func (s simBroker) observability() *obs.Registry                { return nil }
@@ -169,7 +168,7 @@ type simClient struct {
 	t        *SimTransport
 	c        *Client
 	name     string
-	consumed int // prefix of simnet.Delivered already pushed to the queue
+	consumed int // deliveries already pushed to the queue
 }
 
 // send enqueues the message, runs the network to quiescence, and
@@ -215,15 +214,16 @@ func (sc *simClient) send(ctx context.Context, msg broker.Message) error {
 func (sc *simClient) close() error { return nil }
 
 // drainLocked pushes every not-yet-consumed delivery onto its client's
-// notification queue. Caller holds t.mu.
+// notification queue, reading only the deliveries made since the last
+// drain. Caller holds t.mu.
 func (t *SimTransport) drainLocked() {
 	for _, sc := range t.clients {
-		msgs := t.net.Delivered(sc.name)
-		for _, m := range msgs[sc.consumed:] {
+		msgs := t.net.DeliveredSince(sc.name, sc.consumed)
+		for _, m := range msgs {
 			if m.Kind == broker.MsgNotify {
 				sc.c.q.push(Notification{SubID: m.SubID, PubID: m.PubID, Pub: m.Pub})
 			}
 		}
-		sc.consumed = len(msgs)
+		sc.consumed += len(msgs)
 	}
 }

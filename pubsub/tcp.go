@@ -1,26 +1,27 @@
 package pubsub
 
 // TCP transport: brokers over real sockets — the deployable stack,
-// promoted out of the former internal/wire package and rebuilt around
-// a concurrent pipeline with a negotiated binary wire codec.
+// built around a concurrent pipeline and the binary wire codec.
 //
 // # Wire protocol
 //
 // The first frame on any connection is a hello identifying the sender
 // (and whether it is a client or a peer broker); the accepting side
-// answers with an ack naming its broker. Hello and ack are ALWAYS
-// newline-delimited JSON and both carry a `codec` field advertising
-// the highest binary wire version the sender decodes — a side may
-// switch its data frames to the length-prefixed binary codec (see
-// codec.go) only after the remote end advertised it, so PR-3 peers
-// that know neither the field nor the format keep working in both
-// directions: they never advertise (so they are sent JSON), the ack
-// reaches them as a frame with no message (which they ignore), and
-// their JSON frames decode here because every frame is sniffed by its
-// first byte.
+// answers with an ack naming its broker. Hello and ack are
+// newline-delimited JSON and both carry a `codec` field with the
+// sender's wire version (CodecBinary5). The two ends must speak the
+// same version: a hello or ack that advertises any other one — an
+// older build, a newer one, or a build that predates the field — is
+// refused, with an error naming both versions. An acceptor refusing a
+// hello still sends its own ack first, so the dialer can report what
+// it met, then closes the connection without registering anything.
 //
-// Every frame after the handshake carries one broker.Message —
-// including the SUBBATCH/UNSUBBATCH bursts that feed batch admission.
+// Every frame after the handshake is a binary frame (see codec.go)
+// carrying one broker.Message — including the SUBBATCH/UNSUBBATCH
+// bursts that feed batch admission. A JSON frame after the handshake
+// is a protocol error that closes the connection. Dialers wait for
+// the ack before they send anything else, so a dialed connection
+// carries binary from its first message frame.
 // Peer brokers hold one outbound connection per direction (A dials B
 // and B dials A), so no multiplexing is needed; clients hold a single
 // duplex connection on which the ack and notifications are pushed
@@ -81,16 +82,13 @@ type Frame struct {
 	// useful when the address is reachable from the acceptor).
 	Addr string `json:"addr,omitempty"`
 	// Ack identifies the accepting broker on its first frame back —
-	// the handshake reply that completes codec negotiation. Peers that
-	// predate it see a frame without a message and ignore it.
+	// the handshake reply.
 	Ack string `json:"ack,omitempty"`
-	// Codec advertises, on hello and ack frames, the highest binary
-	// wire version the sender decodes (0 = JSON only, the implicit
-	// advertisement of peers that predate the field).
+	// Codec advertises, on hello and ack frames, the sender's wire
+	// version. Both ends must advertise the same one.
 	Codec uint8 `json:"codec,omitempty"`
 	// Cluster advertises, on hello and ack frames, the cluster
-	// membership protocol version the sender speaks (0 = none, the
-	// implicit advertisement of peers without a cluster layer — such
+	// membership protocol version the sender speaks (0 = none: such
 	// peers are never sent ping/pong/gossip frames).
 	Cluster uint8 `json:"cluster,omitempty"`
 	// Msg carries one protocol message on subsequent frames.
@@ -106,42 +104,11 @@ const clusterProtoVersion = 1
 type TCPOption func(*tcpConfig)
 
 type tcpConfig struct {
-	serialized bool
-	queueLen   int
-	codec      WireCodec // broker-side cap: what this server advertises and may send
-	dialCodec  WireCodec // client-side cap used by Transport.Open
+	queueLen int
 
 	dataDir      string        // durability directory ("" = in-memory only)
 	syncEvery    int           // journal fsync batch (0 = BrokerJournal default)
 	snapInterval time.Duration // periodic snapshot cadence (0 = 30s)
-}
-
-func defaultTCPConfig() tcpConfig {
-	return tcpConfig{codec: CodecBinary5, dialCodec: CodecBinary5}
-}
-
-// WithWireCodec caps the codec a broker advertises and sends.
-// CodecBinary5 (the default) negotiates the binary format and the
-// full message vocabulary — including the rendezvous route-announce
-// frame — with every peer that also decodes it; CodecBinary4 pins
-// the PR-8 vocabulary (SWIM indirect probes and delta gossip, no
-// route announces), CodecBinary3 the PR-6/7 vocabulary
-// (full-snapshot gossip only, no ping-req/delta frames), CodecBinary2
-// the PR-5 vocabulary (no sync frames, digest-less gossip),
-// CodecBinary the PR-4 vocabulary (no publish batches, no cluster
-// frames), and CodecJSON the PR-3 JSON format — on the wire those
-// behave exactly like the older builds, which is how the
-// cross-version interop tests model old peers. Decoding always
-// accepts every format regardless.
-func WithWireCodec(c WireCodec) TCPOption {
-	return func(cfg *tcpConfig) { cfg.codec = c }
-}
-
-// WithDialWireCodec caps the codec clients opened through
-// Transport.Open advertise and send (default CodecBinary5). The
-// cross-process form is Dial's WithDialCodec.
-func WithDialWireCodec(c WireCodec) TCPOption {
-	return func(cfg *tcpConfig) { cfg.dialCodec = c }
 }
 
 // WithDataDir makes the broker durable: subscriptions, port
@@ -170,15 +137,6 @@ func WithSnapshotInterval(d time.Duration) TCPOption {
 	return func(c *tcpConfig) { c.snapInterval = d }
 }
 
-// WithSerializedDispatch restores the pre-pipeline behavior of
-// handling every inbound message — broker state machine AND outbound
-// frame encoding — under one global mutex. It exists as the ablation
-// baseline for the concurrency model (see BenchmarkTCPPublish);
-// production code should never set it.
-func WithSerializedDispatch() TCPOption {
-	return func(c *tcpConfig) { c.serialized = true }
-}
-
 // WithSendQueue sets the per-port outbound queue length (default 256
 // frames). A full queue applies backpressure to the readers that are
 // producing for it.
@@ -200,28 +158,13 @@ type tcpPort struct {
 	name string
 	peer bool // a neighbor broker (as opposed to a client)
 	conn net.Conn
-	// codec is the negotiated write codec for this destination. Client
-	// ports fix it at hello time; peer ports start at JSON and upgrade
-	// when the peer's hello or ack arrives (learnPeerCodec), so it is
-	// an atomic the writer loads per frame.
-	codec atomic.Uint32
-	// remote is the codec version the destination ADVERTISED (as
-	// opposed to the negotiated minimum above). A destination that
-	// never advertised anything (0) may be a pre-batch build, so
-	// batch messages bound for it are split into per-item frames —
-	// message-kind vocabulary, unlike framing, cannot be sniffed.
-	// Destinations below CodecBinary2 additionally get publish
-	// batches split (they predate the PUBBATCH kind).
-	remote atomic.Uint32
 	// cluster is the membership protocol version the destination
 	// advertised; control frames (ping/pong/gossip) are dropped when
 	// it is 0 — peers without a cluster layer must never see them.
 	cluster atomic.Uint32
-	// wmu serializes connection writes: normally only the writer
-	// goroutine writes, but the serialized-dispatch ablation encodes
-	// inline on dispatching goroutines while the writer still owns the
-	// shutdown drain.
-	wmu  sync.Mutex
+	// ch feeds the writer goroutine, the only code that writes to conn
+	// once the port is registered (handshake frames are written before
+	// that, or on connections that never get a port).
 	ch   chan wireItem
 	dead chan struct{} // closed when the port is torn down mid-stream
 	once sync.Once
@@ -235,10 +178,8 @@ type tcpPort struct {
 	clock     func() time.Time
 }
 
-func (p *tcpPort) writeCodec() WireCodec { return WireCodec(p.codec.Load()) }
-
-// writeFrame encodes one queue item with the port's current codec
-// into a pooled buffer and writes it in a single call.
+// writeFrame encodes one queue item into a pooled buffer and writes it
+// in a single call.
 func (p *tcpPort) writeFrame(it wireItem) error {
 	var t0 time.Time
 	if p.writeHist != nil {
@@ -253,15 +194,13 @@ func (p *tcpPort) writeFrame(it wireItem) error {
 	if it.ctrl != nil {
 		data, err = MarshalFrame(CodecJSON, (*buf)[:0], it.ctrl)
 	} else {
-		data, err = MarshalFrame(p.writeCodec(), (*buf)[:0], &Frame{Msg: &it.msg})
+		data, err = MarshalFrame(CodecBinary5, (*buf)[:0], &Frame{Msg: &it.msg})
 	}
 	*buf = data[:0]
 	if err != nil {
 		return err
 	}
-	p.wmu.Lock()
 	_, err = p.conn.Write(data)
-	p.wmu.Unlock()
 	if p.writeHist != nil {
 		p.writeHist.Observe(p.clock().Sub(t0))
 	}
@@ -278,22 +217,14 @@ type tcpServer struct {
 	ln  net.Listener
 	cfg tcpConfig
 
-	// smu is the serialized-dispatch ablation mutex (see
-	// WithSerializedDispatch); unused in the concurrent mode.
-	smu sync.Mutex
-
 	mu sync.Mutex
 	// +guarded_by:mu
 	ports map[string]*tcpPort
 	// +guarded_by:mu
 	readers map[net.Conn]struct{}
-	// peerCodec records, per peer broker, the highest binary wire
-	// version it advertised (hello on its inbound connection, or ack
-	// on our outbound one), so the outbound port to it can upgrade.
-	// +guarded_by:mu
-	peerCodec map[string]WireCodec
 	// peerClu records, per peer broker, the cluster protocol version
-	// it advertised alongside the codec.
+	// it advertised (hello on its inbound connection, or ack on our
+	// outbound one).
 	// +guarded_by:mu
 	peerClu map[string]uint8
 	// hooks are the cluster layer's peer-link callbacks (up on an
@@ -345,15 +276,14 @@ func newTCPServer(b *broker.Broker, addr string, cfg tcpConfig) (*tcpServer, err
 		return nil, fmt.Errorf("pubsub: listen %s: %w", addr, err)
 	}
 	s := &tcpServer{
-		b:         b,
-		ln:        ln,
-		cfg:       cfg,
-		ports:     make(map[string]*tcpPort),
-		readers:   make(map[net.Conn]struct{}),
-		peerCodec: make(map[string]WireCodec),
-		peerClu:   make(map[string]uint8),
-		stopping:  make(chan struct{}),
-		closed:    make(chan struct{}),
+		b:        b,
+		ln:       ln,
+		cfg:      cfg,
+		ports:    make(map[string]*tcpPort),
+		readers:  make(map[net.Conn]struct{}),
+		peerClu:  make(map[string]uint8),
+		stopping: make(chan struct{}),
+		closed:   make(chan struct{}),
 	}
 	s.reg = newServerRegistry(b)
 	s.hDecode = s.reg.Histogram(histFrameDecode)
@@ -382,12 +312,11 @@ var errPortExists = errors.New("pubsub: port already connected")
 // ConnectPeer and the hello dial-back converge on one link) a live
 // existing port wins and errPortExists is returned.
 //
-// Client ports (peer=false) write with the fixed codec negotiated
-// from the client's hello; peer ports take whatever the peer has
-// advertised so far (peerCodec, possibly upgraded later). A non-nil
-// ack frame is queued ahead of any other traffic — it enters the
-// channel before the port becomes visible to senders.
-func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool, clientCodec WireCodec, ack *Frame) (*tcpPort, error) {
+// Peer ports take the cluster version the peer has advertised so far
+// (peerClu, possibly upgraded later by learnPeer). A non-nil ack frame
+// is queued ahead of any other traffic — it enters the channel before
+// the port becomes visible to senders.
+func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool, ack *Frame) (*tcpPort, error) {
 	p := &tcpPort{
 		name:      name,
 		peer:      peer,
@@ -409,12 +338,7 @@ func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool, clie
 	default:
 	}
 	if peer {
-		p.codec.Store(uint32(s.cfg.codec.negotiate(s.peerCodec[name])))
-		p.remote.Store(uint32(s.peerCodec[name]))
 		p.cluster.Store(uint32(s.peerClu[name]))
-	} else {
-		p.codec.Store(uint32(clientCodec))
-		p.remote.Store(uint32(clientCodec))
 	}
 	if old, ok := s.ports[name]; ok {
 		if !replace {
@@ -526,24 +450,15 @@ func (s *tcpServer) peerCluster(id string) uint8 {
 	return s.peerClu[id]
 }
 
-// peerWireCodec reports the wire codec a peer advertised (CodecJSON
-// when it never advertised one). The cluster layer gates digest
-// piggybacking on it.
-func (s *tcpServer) peerWireCodec(id string) WireCodec {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peerCodec[id]
-}
-
 // journalRef and recoveryStats expose the durability layer.
 func (s *tcpServer) journalRef() *BrokerJournal           { return s.journal }
 func (s *tcpServer) recoveryStats() (RecoveryStats, bool) { return s.recovery, s.durable }
 func (s *tcpServer) observability() *obs.Registry         { return s.reg }
 
 // sendPeer queues one message for a peer broker, subject to the same
-// vocabulary negotiation as broker-originated traffic (legacy splits,
-// control-frame gating). It reports whether a live link to the peer
-// existed — delivery itself stays best-effort, like all sends.
+// control-frame gate as broker-originated traffic. It reports whether
+// a live link to the peer existed — delivery itself stays
+// best-effort, like all sends.
 func (s *tcpServer) sendPeer(id string, msg broker.Message) bool {
 	s.mu.Lock()
 	p := s.ports[id]
@@ -557,43 +472,31 @@ func (s *tcpServer) sendPeer(id string, msg broker.Message) bool {
 	default:
 	}
 	if msg.Kind.IsControl() && p.cluster.Load() == 0 {
-		// The peer has not (yet) advertised a cluster layer — either a
-		// legacy build that never will, or a fresh link whose ack is
+		// The peer has not advertised a cluster layer — it has none, or
+		// it attached one after our handshake and its own hello is
 		// still in flight. Count the drop so the loss is observable; if
-		// the ack later reveals a cluster layer, learnPeer re-fires the
+		// a later hello reveals a cluster layer, learnPeer re-fires the
 		// peer-up hook and the membership layer re-arms its probes.
 		s.b.CountControlDrop()
 		return false
 	}
-	s.send(broker.Outbound{To: id, Msg: msg})
+	s.sendTo(p, msg)
 	return true
 }
 
-// learnPeerCodec records what a peer broker advertised it decodes and
-// re-negotiates the live outbound port. The LATEST advertisement
-// wins in both directions: every hello/ack comes from a live
-// connection, so a peer redialing after a rollback to a JSON-only
-// build (advertising nothing) downgrades the port instead of being
-// sent binary frames its decoder would choke on.
-func (s *tcpServer) learnPeerCodec(id string, advertised WireCodec) {
-	s.learnPeer(id, advertised, 0)
-}
-
-// learnPeer records what a peer broker advertised (codec version and
-// cluster protocol) and re-negotiates the live outbound port. A peer
-// whose advertisement reveals a cluster layer for the first time gets
-// the peer-up hook re-fired: until this moment every control frame
-// toward it was dropped (sendPeer's cluster gate), so the membership
-// layer must restart its probe cycle now that pings can flow.
-func (s *tcpServer) learnPeer(id string, advertised WireCodec, cluster uint8) {
+// learnPeer records the cluster protocol version a peer broker
+// advertised and applies it to the live outbound port. A peer whose
+// advertisement reveals a cluster layer for the first time gets the
+// peer-up hook re-fired: until this moment every control frame toward
+// it was dropped (the cluster gate in send and sendPeer), so the
+// membership layer must restart its probe cycle now that pings can
+// flow.
+func (s *tcpServer) learnPeer(id string, cluster uint8) {
 	s.mu.Lock()
 	prevClu := s.peerClu[id]
-	s.peerCodec[id] = advertised
 	s.peerClu[id] = cluster
 	linked := false
 	if p, ok := s.ports[id]; ok {
-		p.codec.Store(uint32(s.cfg.codec.negotiate(advertised)))
-		p.remote.Store(uint32(advertised))
 		p.cluster.Store(uint32(cluster))
 		select {
 		case <-p.dead:
@@ -613,21 +516,10 @@ func (s *tcpServer) learnPeer(id string, advertised WireCodec, cluster uint8) {
 // transient-absence tolerance as the old implementation, minus its
 // head-of-line blocking.
 //
-// Messages whose kind the destination never advertised it decodes are
-// split into the older frames it knows first: a peer that advertised
-// no binary codec version may be a pre-batch build whose state
-// machine would reject SUBBATCH/UNSUBBATCH, and one that advertised
-// less than v2 predates PUBBATCH. The splits preserve per-destination
-// order (one goroutine enqueues the items sequentially) and are merely
-// the un-amortized form of the same protocol traffic; new JSON-pinned
-// brokers receive them too, which is exactly how they promise to be
-// indistinguishable from old ones. Control frames (ping/pong/gossip)
-// have no older form: they are dropped toward destinations without a
-// cluster layer — membership simply does not extend to them.
-//
-// +wirecheck:gate — this switch IS the wire-vocabulary gate: every
-// frame kind above the JSON baseline in frameMinCodec must keep a
-// version-checked case here (enforced by brokervet's wirecheck).
+// Control frames (ping/pong/gossip, indirect probes, delta gossip) go
+// only to peers that advertised a cluster layer; toward any other
+// destination they are dropped, counted, and flight-recorded —
+// membership simply does not extend to it.
 func (s *tcpServer) send(o broker.Outbound) {
 	s.mu.Lock()
 	p := s.ports[o.To]
@@ -635,86 +527,10 @@ func (s *tcpServer) send(o broker.Outbound) {
 	if p == nil {
 		return
 	}
-	remote := WireCodec(p.remote.Load())
-	switch o.Msg.Kind {
-	case broker.MsgSubscribeBatch:
-		if remote == CodecJSON {
-			for _, it := range o.Msg.Subs {
-				s.sendTo(p, broker.Message{Kind: broker.MsgSubscribe, SubID: it.SubID, Sub: it.Sub})
-			}
-			return
-		}
-	case broker.MsgUnsubscribeBatch:
-		if remote == CodecJSON {
-			for _, id := range o.Msg.SubIDs {
-				s.sendTo(p, broker.Message{Kind: broker.MsgUnsubscribe, SubID: id})
-			}
-			return
-		}
-	case broker.MsgPublishBatch:
-		if remote < CodecBinary2 {
-			for _, it := range o.Msg.Pubs {
-				s.sendTo(p, broker.Message{Kind: broker.MsgPublish, PubID: it.PubID, Pub: it.Pub})
-			}
-			return
-		}
-	case broker.MsgPing, broker.MsgPong, broker.MsgGossip:
-		if p.cluster.Load() == 0 {
-			s.b.CountControlDrop()
-			s.reg.Flight().Record("frame_drop", s.b.ID(), o.To+" "+o.Msg.Kind.String())
-			return
-		}
-		if o.Msg.Kind == broker.MsgGossip && o.Msg.Digest != nil && remote < CodecBinary3 {
-			// Pre-v3 decoders reject gossip frames with a digest tail;
-			// strip it — the peer cannot answer a sync round anyway.
-			stripped := o.Msg
-			stripped.Digest = nil
-			s.sendTo(p, stripped)
-			return
-		}
-		if o.Msg.Kind != broker.MsgGossip && len(o.Msg.Members) > 0 && remote < CodecBinary4 {
-			// Pre-v4 decoders reject ping/pong frames with a delta
-			// tail; strip the piggyback — the peer keeps learning
-			// membership from full-snapshot gossip instead.
-			stripped := o.Msg
-			stripped.Members = nil
-			s.sendTo(p, stripped)
-			return
-		}
-	case broker.MsgPingReq, broker.MsgGossipDelta:
-		if p.cluster.Load() == 0 {
-			s.b.CountControlDrop()
-			s.reg.Flight().Record("frame_drop", s.b.ID(), o.To+" "+o.Msg.Kind.String())
-			return
-		}
-		if remote < CodecBinary4 {
-			// The SWIM vocabulary has no older form: a pre-v4 peer is
-			// never asked to relay a probe, and deltas toward it ride
-			// the legacy full-snapshot gossip the cluster layer still
-			// emits for exactly this case.
-			return
-		}
-	case broker.MsgSyncRequest, broker.MsgSyncRoots:
-		if remote < CodecBinary3 {
-			// Sync frames have no older form: a peer that never saw our
-			// digest never asks, and one that predates the vocabulary
-			// must never see the kinds.
-			return
-		}
-	case broker.MsgRouteAnnounce:
-		if remote < CodecBinary5 {
-			// A route announce IS a subscription announcement with a
-			// rendezvous address attached; toward a peer that predates
-			// the kind, send its flood form — the same items as a
-			// subscribe-batch. The link then degrades to flood
-			// semantics, which routed delivery is a strict subset of,
-			// and the recursive send applies the older splits in turn.
-			s.send(broker.Outbound{To: o.To, Msg: broker.Message{
-				Kind: broker.MsgSubscribeBatch,
-				Subs: o.Msg.Subs,
-			}})
-			return
-		}
+	if o.Msg.Kind.IsControl() && p.cluster.Load() == 0 {
+		s.b.CountControlDrop()
+		s.reg.Flight().Record("frame_drop", s.b.ID(), o.To+" "+o.Msg.Kind.String())
+		return
 	}
 	s.sendTo(p, o.Msg)
 }
@@ -722,21 +538,6 @@ func (s *tcpServer) send(o broker.Outbound) {
 // sendTo queues one message onto a resolved port.
 func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) {
 	p.stats.Sent(int(msg.Kind))
-	if s.cfg.serialized {
-		// Ablation baseline: encode inline on the dispatching
-		// goroutine (which holds the global mutex), exactly as the old
-		// wire server did. The port's writer goroutine idles; only the
-		// shutdown drain uses it.
-		select {
-		case <-p.dead:
-			return
-		default:
-		}
-		if err := p.writeFrame(wireItem{msg: msg}); err != nil {
-			p.kill()
-		}
-		return
-	}
 	t0 := s.obsClock()
 	select {
 	case p.ch <- wireItem{msg: msg}:
@@ -749,10 +550,6 @@ func (s *tcpServer) sendTo(p *tcpPort, msg broker.Message) {
 // dispatch runs one inbound message through the broker and fans the
 // results out to the per-port queues.
 func (s *tcpServer) dispatch(from string, msg broker.Message) error {
-	if s.cfg.serialized {
-		s.smu.Lock()
-		defer s.smu.Unlock()
-	}
 	outs, err := s.b.Handle(from, msg)
 	if err != nil {
 		return err
@@ -835,9 +632,10 @@ func writeJSONFrame(conn net.Conn, fr *Frame) error {
 // a coalesced run can add ahead of a queued subscribe.
 const maxPublishCoalesce = 64
 
-// serveConn reads the hello, registers the port, answers with the
-// codec-advertising ack, then feeds messages into the dispatch
-// pipeline, coalescing buffered publish runs.
+// serveConn reads the hello, refuses it if it advertises another wire
+// version, registers the port, answers with the ack, then feeds
+// messages into the dispatch pipeline, coalescing buffered publish
+// runs.
 func (s *tcpServer) serveConn(conn net.Conn) {
 	defer s.readerWg.Done()
 	reader := newFrameReader(conn)
@@ -847,16 +645,24 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 		return
 	}
 	from := hello.Hello
+	ack := &Frame{Ack: s.b.ID(), Codec: uint8(CodecBinary5), Cluster: s.clusterVer()}
+	if hello.Codec != uint8(CodecBinary5) {
+		// Refuse before anything is registered. Our ack still goes out
+		// so the remote end can name both versions in its own error.
+		s.reg.Flight().Record("handshake_refused", s.b.ID(), wireVersionError(from, hello.Codec).Error())
+		_ = writeJSONFrame(conn, ack) // best effort: the connection closes either way
+		conn.Close()
+		return
+	}
+	reader.binaryOnly = true
 	reader.instrument(s.hDecode, s.obsClock)
 	linkStats := s.reg.Link(from)
-	ack := &Frame{Ack: s.b.ID(), Codec: uint8(s.cfg.codec), Cluster: s.clusterVer()}
 
 	var port *tcpPort
 	if hello.Client {
 		s.b.AttachClient(from)
-		// The client's hello fixes what it decodes; the ack (queued
-		// ahead of any notification) tells it what we decode.
-		p, err := s.addPort(from, conn, true, false, s.cfg.codec.negotiate(WireCodec(hello.Codec)), ack)
+		// The ack is queued ahead of any notification.
+		p, err := s.addPort(from, conn, true, false, ack)
 		if err != nil {
 			conn.Close()
 			return
@@ -869,11 +675,11 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		// What the peer decodes governs our outbound port to it.
-		s.learnPeer(from, WireCodec(hello.Codec), hello.Cluster)
-		// Answer with the ack directly (nobody else writes on an
-		// inbound peer connection): its ack reader learns our codec.
-		// Old peers never read this side and simply leave it buffered.
+		// Whether the peer has a cluster layer governs our outbound
+		// port to it.
+		s.learnPeer(from, hello.Cluster)
+		// Answer with the ack directly: nobody else writes on an
+		// inbound peer connection, and the dialer waits for it.
 		if err := writeJSONFrame(conn, ack); err != nil {
 			conn.Close()
 			return
@@ -928,11 +734,8 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			}
 		}
 		pending = false
-		if fr.Msg == nil {
-			continue
-		}
 		linkStats.Recv(int(fr.Msg.Kind))
-		if fr.Msg.Kind != broker.MsgPublish || s.cfg.serialized {
+		if fr.Msg.Kind != broker.MsgPublish {
 			if err := s.dispatch(from, *fr.Msg); err != nil {
 				fail()
 				return
@@ -953,9 +756,6 @@ func (s *tcpServer) serveConn(conn net.Conn) {
 			}
 			if !ok {
 				break
-			}
-			if fr.Msg == nil {
-				continue
 			}
 			if fr.Msg.Kind != broker.MsgPublish {
 				pending = true
@@ -989,25 +789,24 @@ func (s *tcpServer) connectPeer(id, addr string) error {
 // matters to the cluster reconnect loop — a no-op dial against an
 // existing connection proves nothing about the peer (the connection
 // may be stalled), so treating it as a recovery would let a hung peer
-// flap dead→alive forever. The hello advertises what we decode; a
-// goroutine watches the (otherwise silent) connection for the
-// acceptor's ack so the port can upgrade to the binary codec once the
-// peer has advertised it.
+// flap dead→alive forever. The link is registered only after the
+// peer's ack arrived and advertised this build's wire version.
 func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
 	if err != nil {
 		return false, fmt.Errorf("pubsub: dial peer %s at %s: %w", id, addr, err)
 	}
-	hello := &Frame{Hello: s.b.ID(), Addr: s.advertiseAddr(), Codec: uint8(s.cfg.codec), Cluster: s.clusterVer()}
-	if err := writeJSONFrame(conn, hello); err != nil {
+	ack, err := s.handshakePeer(conn, id)
+	if err != nil {
 		conn.Close()
-		return false, fmt.Errorf("pubsub: hello to %s: %w", id, err)
+		return false, err
 	}
+	s.learnPeer(id, ack.Cluster)
 	if err := s.b.ConnectNeighbor(id); err != nil {
 		conn.Close()
 		return false, err
 	}
-	if _, err := s.addPort(id, conn, false, true, 0, nil); err != nil {
+	if _, err := s.addPort(id, conn, false, true, nil); err != nil {
 		conn.Close()
 		if errors.Is(err, errPortExists) {
 			// A concurrent dial (ours or the peer's dial-back) already
@@ -1023,29 +822,52 @@ func (s *tcpServer) dialPeer(id, addr string) (bool, error) {
 	// reconnect (or toward a neighbor registered while no port
 	// existed) this is the healing re-announcement: the peer drops
 	// what it already knows and fills the gaps, so routing state
-	// converges without any transport replaying lost frames. send()
-	// splits it per-item for peers that predate batch frames.
+	// converges without any transport replaying lost frames.
 	if roots := s.b.NeighborRoots(id); len(roots) > 0 {
 		s.send(broker.Outbound{To: id, Msg: broker.Message{Kind: broker.MsgSubscribeBatch, Subs: roots}})
 	}
 	// Tell the cluster layer the link is up.
 	s.firePeerUp(id)
-	// The acceptor's only traffic on this connection is its ack (old
-	// peers send nothing); the goroutine exits when the port's writer
-	// closes the connection.
-	go func() {
-		r := newFrameReader(conn)
-		var fr Frame
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Ack != "" {
-				s.learnPeer(id, WireCodec(fr.Codec), fr.Cluster)
-			}
-		}
-	}()
 	return true, nil
+}
+
+// handshakePeer runs the dialer's side of the handshake on a freshly
+// dialed peer connection, bounded by peerDialTimeout. A refused ack is
+// flight-recorded. The acceptor sends nothing after its ack, so the
+// reader's read-ahead loses nothing.
+func (s *tcpServer) handshakePeer(conn net.Conn, id string) (*Frame, error) {
+	conn.SetDeadline(time.Now().Add(peerDialTimeout))
+	defer conn.SetDeadline(time.Time{})
+	hello := &Frame{Hello: s.b.ID(), Addr: s.advertiseAddr(), Codec: uint8(CodecBinary5), Cluster: s.clusterVer()}
+	_, ack, err := exchangeHello(conn, hello, "peer "+id)
+	if errors.Is(err, errWireVersion) {
+		s.reg.Flight().Record("handshake_refused", s.b.ID(), err.Error())
+	}
+	return ack, err
+}
+
+// exchangeHello writes hello on a freshly dialed connection and reads
+// the acceptor's ack. An ack advertising another wire version is
+// refused with an error naming both versions. The returned reader,
+// switched to binary frames, holds whatever the acceptor queued behind
+// its ack.
+func exchangeHello(conn net.Conn, hello *Frame, who string) (*frameReader, *Frame, error) {
+	if err := writeJSONFrame(conn, hello); err != nil {
+		return nil, nil, fmt.Errorf("pubsub: hello to %s: %w", who, err)
+	}
+	r := newFrameReader(conn)
+	var ack Frame
+	if err := r.read(&ack); err != nil {
+		return nil, nil, fmt.Errorf("pubsub: ack from %s: %w", who, err)
+	}
+	if ack.Ack == "" {
+		return nil, nil, fmt.Errorf("pubsub: %s answered the hello without an ack", who)
+	}
+	if ack.Codec != uint8(CodecBinary5) {
+		return nil, nil, wireVersionError(who, ack.Codec)
+	}
+	r.binaryOnly = true
+	return r, &ack, nil
 }
 
 // peerDialTimeout bounds a single peer dial attempt so a reconnect
@@ -1175,7 +997,7 @@ func ListenBroker(id, addr string, policy Policy, cfg Config, opts ...TCPOption)
 	if err != nil {
 		return nil, err
 	}
-	tc := defaultTCPConfig()
+	var tc tcpConfig
 	for _, opt := range opts {
 		opt(&tc)
 	}
@@ -1230,10 +1052,9 @@ var _ brokerImpl = (*tcpServer)(nil)
 // deployable stack; multi-process deployments use ListenBroker and
 // Dial directly.
 type TCPTransport struct {
-	policy    Policy
-	cfg       Config
-	opts      []TCPOption
-	dialCodec WireCodec // resolved client-side codec cap for Open
+	policy Policy
+	cfg    Config
+	opts   []TCPOption
 
 	mu       sync.Mutex
 	brokers  map[string]*Broker
@@ -1252,16 +1073,11 @@ func NewTCPTransport(policy Policy, cfg Config, opts ...TCPOption) (*TCPTranspor
 	if cfg.DropRate > 0 || cfg.DupRate > 0 {
 		return nil, fmt.Errorf("pubsub: failure injection is simulator-only; TCP transports take real losses")
 	}
-	tc := defaultTCPConfig()
-	for _, opt := range opts {
-		opt(&tc)
-	}
 	return &TCPTransport{
-		policy:    policy,
-		cfg:       cfg,
-		opts:      opts,
-		dialCodec: tc.dialCodec,
-		brokers:   make(map[string]*Broker),
+		policy:  policy,
+		cfg:     cfg,
+		opts:    opts,
+		brokers: make(map[string]*Broker),
 	}, nil
 }
 
@@ -1337,7 +1153,7 @@ func (t *TCPTransport) Open(ctx context.Context, clientName, brokerID string) (*
 	if !ok {
 		return nil, fmt.Errorf("pubsub: unknown broker %s", brokerID)
 	}
-	c, err := Dial(ctx, b.Addr(), clientName, WithDialCodec(t.dialCodec))
+	c, err := Dial(ctx, b.Addr(), clientName)
 	if err != nil {
 		return nil, err
 	}
@@ -1416,149 +1232,64 @@ func (t *TCPTransport) Shutdown(ctx context.Context) error {
 	return firstErr
 }
 
-// DialOption tunes a client connection.
-type DialOption func(*dialConfig)
-
-type dialConfig struct {
-	codec WireCodec
-}
-
-// WithDialCodec caps the codec the client advertises and sends
-// (default CodecBinary2). CodecJSON makes the client behave exactly
-// like a pre-binary build: it never advertises the binary format (so
-// the broker sends it JSON) and never upgrades its own sends;
-// CodecBinary pins the PR-4 vocabulary (publish batches split).
-func WithDialCodec(c WireCodec) DialOption {
-	return func(cfg *dialConfig) { cfg.codec = c }
-}
-
 // tcpClient is the socket side of a Client.
 type tcpClient struct {
 	conn net.Conn
 	mu   sync.Mutex // serializes writes
-	// maxCodec is what we are willing to send; wcodec is what we
-	// actually send — JSON until the broker's ack advertises that it
-	// decodes binary (readLoop stores the upgrade).
-	maxCodec WireCodec
-	wcodec   atomic.Uint32
-	// acked closes when the broker's ack arrives; remoteVer is the
-	// codec version it advertised. A broker that never acks is a
-	// pre-binary build, so batch messages are split into the per-item
-	// frames its state machine knows (see send).
-	ackOnce   sync.Once
-	acked     chan struct{}
-	remoteVer atomic.Uint32
-}
-
-// legacyAckWait bounds how long a batch send waits for the broker's
-// ack before concluding the broker predates it.
-const legacyAckWait = 3 * time.Second
-
-// supportsVocab reports whether the broker advertised at least the
-// given wire version — the vocabulary gate for batch kinds (v1) and
-// publish-batch (v2) — waiting (bounded by the context and a fixed
-// cap) for the handshake ack on a fresh connection. Like the
-// broker-side split, a server that advertised no codec version is
-// treated as predating the kind — JSON-pinned new brokers accept the
-// per-item form by design.
-func (c *tcpClient) supportsVocab(ctx context.Context, minVer WireCodec) bool {
-	timeout := legacyAckWait
-	if d, ok := ctx.Deadline(); ok {
-		// Leave at least half the caller's budget for the write that
-		// follows the verdict.
-		if until := time.Until(d) / 2; until < timeout {
-			timeout = until
-		}
-	}
-	select {
-	case <-c.acked:
-		return WireCodec(c.remoteVer.Load()) >= minVer
-	case <-time.After(timeout):
-		return false
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // Dial connects a client to a broker's listen address — the
 // cross-process form of Transport.Open, used by cmd/psclient. The
 // name identifies the client on its broker; redialing with the same
 // name replaces the previous connection and resumes its
-// subscriptions.
-func Dial(ctx context.Context, addr, name string, opts ...DialOption) (*Client, error) {
+// subscriptions. Dial returns once the broker's ack has arrived,
+// waiting at most as long as ctx allows; an ack that advertises
+// another wire version fails the dial with an error naming both
+// versions.
+func Dial(ctx context.Context, addr, name string) (*Client, error) {
 	if name == "" {
 		return nil, fmt.Errorf("pubsub: empty client name")
-	}
-	cfg := dialConfig{codec: CodecBinary}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pubsub: dial %s: %w", addr, err)
 	}
-	tc := &tcpClient{conn: conn, maxCodec: cfg.codec, acked: make(chan struct{})}
-	if err := writeJSONFrame(conn, &Frame{Hello: name, Client: true, Codec: uint8(cfg.codec)}); err != nil {
+	r, err := clientHandshake(ctx, conn, addr, name)
+	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("pubsub: hello: %w", err)
+		return nil, err
 	}
+	tc := &tcpClient{conn: conn}
 	c := &Client{name: name, impl: tc, q: newNotifyQueue()}
-	go tc.readLoop(c.q)
+	go tc.readLoop(r, c.q)
 	return c, nil
 }
 
-// send encodes one message with the negotiated codec into a pooled
-// buffer and writes it in one call, honoring the context's deadline.
-// A batch message bound for a broker that never advertised a codec
-// version is re-encoded as its per-item frames — in the same buffer
-// and the same write, so ordering stays atomic.
+// clientHandshake runs the client's side of the handshake, aborting
+// the ack read when ctx ends. The returned reader may already hold
+// notifications queued behind the ack.
+func clientHandshake(ctx context.Context, conn net.Conn, addr, name string) (*frameReader, error) {
+	// Cancellation forces the blocked read to return by moving the
+	// deadline into the past.
+	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(1, 0)) })
+	r, _, err := exchangeHello(conn, &Frame{Hello: name, Client: true, Codec: uint8(CodecBinary5)}, "broker at "+addr)
+	if !stop() {
+		// ctx ended mid-handshake; its past deadline poisoned conn.
+		return nil, fmt.Errorf("pubsub: handshake: %w", ctx.Err())
+	}
+	return r, err
+}
+
+// send encodes one message into a pooled buffer and writes it in one
+// call, honoring the context's deadline.
 func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	var split bool
-	switch msg.Kind { // waits for the ack, which may upgrade wcodec
-	case broker.MsgSubscribeBatch, broker.MsgUnsubscribeBatch:
-		split = !c.supportsVocab(ctx, CodecBinary)
-	case broker.MsgPublishBatch:
-		split = !c.supportsVocab(ctx, CodecBinary2)
-	}
-	codec := WireCodec(c.wcodec.Load())
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	var (
-		data []byte
-		err  error
-	)
-	switch {
-	case msg.Kind == broker.MsgSubscribeBatch && split:
-		data = (*buf)[:0]
-		for _, it := range msg.Subs {
-			m := broker.Message{Kind: broker.MsgSubscribe, SubID: it.SubID, Sub: it.Sub}
-			if data, err = MarshalFrame(codec, data, &Frame{Msg: &m}); err != nil {
-				break
-			}
-		}
-	case msg.Kind == broker.MsgUnsubscribeBatch && split:
-		data = (*buf)[:0]
-		for _, id := range msg.SubIDs {
-			m := broker.Message{Kind: broker.MsgUnsubscribe, SubID: id}
-			if data, err = MarshalFrame(codec, data, &Frame{Msg: &m}); err != nil {
-				break
-			}
-		}
-	case msg.Kind == broker.MsgPublishBatch && split:
-		data = (*buf)[:0]
-		for _, it := range msg.Pubs {
-			m := broker.Message{Kind: broker.MsgPublish, PubID: it.PubID, Pub: it.Pub}
-			if data, err = MarshalFrame(codec, data, &Frame{Msg: &m}); err != nil {
-				break
-			}
-		}
-	default:
-		data, err = MarshalFrame(codec, (*buf)[:0], &Frame{Msg: &msg})
-	}
+	data, err := MarshalFrame(CodecBinary5, (*buf)[:0], &Frame{Msg: &msg})
 	*buf = data[:0]
 	if err != nil {
 		return fmt.Errorf("pubsub: send: %w", err)
@@ -1575,23 +1306,18 @@ func (c *tcpClient) send(ctx context.Context, msg broker.Message) error {
 	return nil
 }
 
-// readLoop handles the broker's ack (codec upgrade) and feeds pushed
-// notifications into the queue until the connection closes.
-func (c *tcpClient) readLoop(q *notifyQueue) {
-	r := newFrameReader(c.conn)
+// readLoop feeds pushed notifications into the queue until the
+// connection ends. A read error — including a JSON frame after the
+// handshake — ends the stream and closes the connection.
+func (c *tcpClient) readLoop(r *frameReader, q *notifyQueue) {
 	var fr Frame
 	for {
 		if err := r.read(&fr); err != nil {
 			q.finish()
+			c.conn.Close()
 			return
 		}
-		if fr.Ack != "" {
-			c.remoteVer.Store(uint32(fr.Codec))
-			c.wcodec.Store(uint32(c.maxCodec.negotiate(WireCodec(fr.Codec))))
-			c.ackOnce.Do(func() { close(c.acked) })
-			continue
-		}
-		if fr.Msg != nil && fr.Msg.Kind == broker.MsgNotify {
+		if fr.Msg.Kind == broker.MsgNotify {
 			q.push(Notification{SubID: fr.Msg.SubID, PubID: fr.Msg.PubID, Pub: fr.Msg.Pub})
 		}
 	}

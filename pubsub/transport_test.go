@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"probsum/internal/broker"
+	"probsum/internal/simnet"
+	"probsum/internal/store"
 	"probsum/pubsub"
 	"probsum/subsume"
 )
@@ -153,9 +156,7 @@ func runBrokernet(t *testing.T, tr pubsub.Transport) map[string][]string {
 // TestTransportEquivalence is the acceptance check of the transport
 // redesign: the same client program — including SUBBATCH/UNSUBBATCH
 // bursts — produces identical notification sets on the deterministic
-// simulator and over real TCP sockets, for every coverage policy and
-// every codec pairing (all-binary, JSON-pinned brokers modeling old
-// peers, JSON-pinned clients modeling old clients).
+// simulator and over real TCP sockets, for every coverage policy.
 func TestTransportEquivalence(t *testing.T) {
 	cfg := pubsub.Config{ErrorProbability: 1e-9, Seed: 7}
 	tcpVariants := []struct {
@@ -163,8 +164,6 @@ func TestTransportEquivalence(t *testing.T) {
 		opts []pubsub.TCPOption
 	}{
 		{"tcp-binary", nil},
-		{"tcp-json-brokers", []pubsub.TCPOption{pubsub.WithWireCodec(pubsub.CodecJSON)}},
-		{"tcp-json-clients", []pubsub.TCPOption{pubsub.WithDialWireCodec(pubsub.CodecJSON)}},
 	}
 	for _, policy := range []pubsub.Policy{pubsub.Flood, pubsub.Pairwise, pubsub.Group} {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -198,47 +197,68 @@ func TestTransportEquivalence(t *testing.T) {
 }
 
 // TestSimTransportMatchesNetwork pins the sim transport to the
-// original Network facade: same scenario, same deliveries.
+// simulator it wraps, internal/simnet's Network driven directly with
+// the broker options SimTransport documents: the same scenario yields
+// the same deliveries, in order, and the same per-broker metrics.
 func TestSimTransportMatchesNetwork(t *testing.T) {
 	cfg := pubsub.Config{ErrorProbability: 1e-9, Seed: 7}
-	net, err := pubsub.NewNetwork(pubsub.Pairwise, cfg)
-	if err != nil {
-		t.Fatal(err)
+	schema := subsume.UniformSchema(2, 0, 100)
+	wide := subsume.NewSubscription(schema).Range("x1", 10, 50).Build()
+	narrow := subsume.NewSubscription(schema).Range("x1", 20, 30).Range("x2", 20, 30).Build()
+	other := subsume.NewSubscription(schema).Range("x1", 60, 90).Build()
+	batch := []pubsub.BatchSub{{SubID: "b1", Sub: narrow}, {SubID: "b2", Sub: other}}
+	pubs := []pubsub.BatchPub{
+		{PubID: "p1", Pub: subsume.NewPublication(30, 30)},
+		{PubID: "p2", Pub: subsume.NewPublication(25, 25)},
+		{PubID: "p3", Pub: subsume.NewPublication(70, 5)},
 	}
-	for i := 1; i <= 3; i++ {
-		if err := net.AddBroker(fmt.Sprintf("B%d", i)); err != nil {
+	brokers := []string{"B1", "B2", "B3"}
+
+	// The reference: simnet driven directly.
+	net := simnet.New()
+	for _, id := range brokers {
+		if err := net.AddBroker(id, store.PolicyPairwise,
+			broker.WithSeed(cfg.Seed), broker.WithTableOptions(cfg.TableOptions()...)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := net.Connect("B1", "B2"); err != nil {
-		t.Fatal(err)
+	steps := []func() error{
+		func() error { return net.Connect("B1", "B2") },
+		func() error { return net.Connect("B2", "B3") },
+		func() error { return net.AttachClient("alice", "B1") },
+		func() error { return net.AttachClient("bob", "B3") },
+		func() error { return net.ClientSubscribe("alice", "a1", wide) },
+		func() error { return net.ClientSubscribeBatch("alice", batch) },
+		func() error { return net.ClientPublish("bob", pubs[0].PubID, pubs[0].Pub) },
+		func() error { return net.ClientUnsubscribe("alice", "a1") },
+		func() error { return net.ClientPublishBatch("bob", pubs[1:]) },
 	}
-	if err := net.Connect("B2", "B3"); err != nil {
-		t.Fatal(err)
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("simnet step %d: %v", i, err)
+		}
+		if _, err := net.Run(); err != nil {
+			t.Fatalf("simnet step %d: %v", i, err)
+		}
 	}
-	if err := net.AttachClient("alice", "B1"); err != nil {
-		t.Fatal(err)
+	var want []pubsub.Notification
+	for _, m := range net.Delivered("alice") {
+		if m.Kind == broker.MsgNotify {
+			want = append(want, pubsub.Notification{SubID: m.SubID, PubID: m.PubID, Pub: m.Pub})
+		}
 	}
-	if err := net.AttachClient("bob", "B3"); err != nil {
-		t.Fatal(err)
+	if len(want) == 0 {
+		t.Fatal("reference scenario delivered nothing")
 	}
-	schema := subsume.UniformSchema(2, 0, 100)
-	s := subsume.NewSubscription(schema).Range("x1", 10, 50).Build()
-	if err := net.Subscribe("alice", "a1", s); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Publish("bob", "p1", subsume.NewPublication(30, 30)); err != nil {
-		t.Fatal(err)
-	}
-	netNotifs := net.Notifications("alice")
 
+	// The same scenario through SimTransport.
 	ctx := context.Background()
 	tr, err := pubsub.NewSimTransport(pubsub.Pairwise, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 3; i++ {
-		if _, err := tr.AddBroker(fmt.Sprintf("B%d", i)); err != nil {
+	for _, id := range brokers {
+		if _, err := tr.AddBroker(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,24 +276,31 @@ func TestSimTransportMatchesNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := alice.Subscribe(ctx, "a1", s); err != nil {
-		t.Fatal(err)
+	for i, step := range []func() error{
+		func() error { return alice.Subscribe(ctx, "a1", wide) },
+		func() error { return alice.SubscribeBatch(ctx, batch) },
+		func() error { return bob.Publish(ctx, pubs[0].PubID, pubs[0].Pub) },
+		func() error { return alice.Unsubscribe(ctx, "a1") },
+		func() error { return bob.PublishBatch(ctx, pubs[1:]) },
+	} {
+		if err := step(); err != nil {
+			t.Fatalf("transport step %d: %v", i, err)
+		}
 	}
-	if err := bob.Publish(ctx, "p1", subsume.NewPublication(30, 30)); err != nil {
+	for _, id := range brokers {
+		b, _ := tr.Broker(id)
+		if got, want := b.Metrics(), net.Broker(id).Metrics(); got != want {
+			t.Errorf("%s metrics: transport %+v, simnet %+v", id, got, want)
+		}
+	}
+	if err := tr.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 	var got []pubsub.Notification
-	for len(got) < len(netNotifs) {
-		select {
-		case n := <-alice.Notifications():
-			got = append(got, n)
-		case <-time.After(2 * time.Second):
-			t.Fatalf("transport delivered %d notifications, Network delivered %d", len(got), len(netNotifs))
-		}
+	for n := range alice.Notifications() {
+		got = append(got, n)
 	}
-	for i, n := range got {
-		if fmt.Sprint(n) != fmt.Sprint(netNotifs[i]) {
-			t.Errorf("notification %d: transport %+v, Network %+v", i, n, netNotifs[i])
-		}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("deliveries:\n transport %+v\n simnet    %+v", got, want)
 	}
 }

@@ -1,15 +1,17 @@
 package pubsub
 
-// Wire-level tests for the binary codec negotiation and the batch
-// frames (ISSUE 4): bursts reach batch admission as single calls,
-// codec upgrades happen end to end, and peers that speak only the
-// PR-3 JSON dialect still interoperate in both directions.
+// Wire-level tests for the handshake and the batch frames: bursts
+// reach batch admission as single calls, both ends of every connection
+// must advertise the same wire version, and JSON carries the
+// handshake only.
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,367 +134,389 @@ func TestTCPBatchCoverageWithinBurst(t *testing.T) {
 	}
 }
 
-// TestTCPCodecNegotiation pins the upgrade handshake: a binary-capable
-// client against a binary-capable broker ends up sending binary, while
-// either side pinned to JSON keeps the whole conversation working.
-func TestTCPCodecNegotiation(t *testing.T) {
-	cases := []struct {
-		name        string
-		brokerCodec WireCodec
-		dialCodec   WireCodec
-		wantUpgrade bool
+// TestTCPWireVersionHandshake pins the one-version rule at every
+// handshake frame. A client hello, a peer hello, a peer's ack (toward
+// DialPeer) and a broker's ack (toward Dial) that advertise an older
+// version, a newer one, or no codec field at all (a build that
+// predates the field) are refused: no port is left behind, the
+// refusing broker flight-records the refusal, and Dial/DialPeer return
+// an error naming both versions. The current version connects.
+func TestTCPWireVersionHandshake(t *testing.T) {
+	current := uint8(CodecBinary5)
+	versions := []struct {
+		name  string
+		codec uint8
 	}{
-		{"binary-binary", CodecBinary, CodecBinary, true},
-		{"json-broker", CodecJSON, CodecBinary, false},
-		{"json-client", CodecBinary, CodecJSON, false},
+		{"older", current - 1},
+		{"newer", current + 1},
+		{"none", 0},
+		{"current", current},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := listenTestBroker(t, "B1", Pairwise, WithWireCodec(tc.brokerCodec))
-			ctx := testCtx(t)
-			c, err := Dial(ctx, b.Addr(), "alice", WithDialCodec(tc.dialCodec))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			pub := dialTest(t, b.Addr(), "bob")
-
-			if err := c.Subscribe(ctx, "s1", box(0, 50, 0, 50)); err != nil {
-				t.Fatal(err)
-			}
-			waitMetric(t, b, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-			// The ack has necessarily arrived before any notification
-			// could; publish → notify forces the full round trip.
-			if err := pub.Publish(ctx, "p1", subscription.NewPublication(10, 10)); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := recvOne(t, c, 2*time.Second); !ok {
-				t.Fatal("notification did not arrive")
-			}
-			tcpC := c.impl.(*tcpClient)
-			upgraded := WireCodec(tcpC.wcodec.Load()) == CodecBinary
-			if upgraded != tc.wantUpgrade {
-				t.Fatalf("client write codec upgraded = %v, want %v", upgraded, tc.wantUpgrade)
-			}
-			// Post-negotiation traffic keeps flowing.
-			if err := pub.Publish(ctx, "p2", subscription.NewPublication(20, 20)); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := recvOne(t, c, 2*time.Second); !ok {
-				t.Fatal("post-negotiation notification did not arrive")
-			}
-		})
+	sides := []struct {
+		name string
+		run  func(t *testing.T, codec uint8)
+	}{
+		{"client-hello", handshakeClientHello},
+		{"peer-hello", handshakePeerHello},
+		{"peer-ack", handshakePeerAck},
+		{"client-ack", handshakeClientAck},
+	}
+	for _, side := range sides {
+		for _, v := range versions {
+			t.Run(side.name+"/"+v.name, func(t *testing.T) { side.run(t, v.codec) })
+		}
 	}
 }
 
-// TestTCPLegacyJSONClient drives a hand-rolled PR-3 wire client — raw
-// json.Encoder/Decoder, no codec field, ignores frames without a
-// message — against a binary-capable broker. It proves old peers
-// interoperate: the broker must never send such a client a binary
-// frame (the json.Decoder would choke on 0xBF) and must decode its
-// JSON frames.
-func TestTCPLegacyJSONClient(t *testing.T) {
-	b := listenTestBroker(t, "B1", Pairwise)
-	conn, err := net.Dial("tcp", b.Addr())
+// rawDial opens a plain TCP connection with a generous I/O deadline.
+func rawDial(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	// PR-3 hello: no codec field at all.
-	if err := enc.Encode(map[string]any{"hello": "legacy", "client": true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Encode(Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: box(0, 50, 0, 50)}}); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, b, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
 
-	pub := dialTest(t, b.Addr(), "bob")
-	if err := pub.Publish(testCtx(t), "p1", subscription.NewPublication(25, 25)); err != nil {
+// rawAcceptor accepts one connection, reads the dialer's hello, answers
+// with an ack advertising codec, and then drains the connection until
+// it closes. The hello is delivered on the returned channel.
+func rawAcceptor(t *testing.T, id string, codec uint8) (addr string, hellos <-chan Frame) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy loop: decode frames, skip everything without a
-	// notify. The ack frame arrives first and must parse as JSON.
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for {
+	t.Cleanup(func() { ln.Close() })
+	ch := make(chan Frame, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := newFrameReader(conn)
+		var hello Frame
+		if err := r.read(&hello); err != nil {
+			return
+		}
+		ch <- hello
+		if err := writeJSONFrame(conn, &Frame{Ack: id, Codec: codec}); err != nil {
+			return
+		}
+		for r.read(&hello) == nil {
+		}
+	}()
+	return ln.Addr().String(), ch
+}
+
+// readAck reads the broker's handshake answer off a raw connection and
+// checks it advertises this build's version.
+func readAck(t *testing.T, r *frameReader, want string) {
+	t.Helper()
+	var ack Frame
+	if err := r.read(&ack); err != nil {
+		t.Fatalf("no ack: %v", err)
+	}
+	if ack.Ack != want || ack.Codec != uint8(CodecBinary5) {
+		t.Fatalf("ack = %+v, want ack %s with codec %d", ack, want, CodecBinary5)
+	}
+}
+
+// assertNoPort fails if the server registered an outbound port.
+func assertNoPort(t *testing.T, srv *tcpServer, name string) {
+	t.Helper()
+	srv.mu.Lock()
+	_, ok := srv.ports[name]
+	srv.mu.Unlock()
+	if ok {
+		t.Fatalf("%s registered a port for refused %s", srv.b.ID(), name)
+	}
+}
+
+// assertRefusal fails unless the server flight-recorded a handshake
+// refusal naming both versions.
+func assertRefusal(t *testing.T, srv *tcpServer, codec uint8) {
+	t.Helper()
+	for _, ev := range srv.reg.Flight().Events() {
+		if ev.Kind == "handshake_refused" && namesBothVersions(ev.Detail, codec) {
+			return
+		}
+	}
+	t.Fatalf("no handshake_refused event naming versions %d and %d: %v",
+		codec, CodecBinary5, srv.reg.Flight().Dump())
+}
+
+func namesBothVersions(msg string, codec uint8) bool {
+	return strings.Contains(msg, fmt.Sprintf("version %d,", codec)) &&
+		strings.Contains(msg, fmt.Sprintf("version %d", CodecBinary5))
+}
+
+func handshakeClientHello(t *testing.T, codec uint8) {
+	b := listenTestBroker(t, "B", Pairwise)
+	srv := b.impl.(*tcpServer)
+	conn := rawDial(t, b.Addr())
+	if err := writeJSONFrame(conn, &Frame{Hello: "raw", Client: true, Codec: codec}); err != nil {
+		t.Fatal(err)
+	}
+	r := newFrameReader(conn)
+	readAck(t, r, "B")
+	if codec != uint8(CodecBinary5) {
 		var fr Frame
-		if err := dec.Decode(&fr); err != nil {
-			t.Fatalf("legacy client failed to decode broker stream: %v", err)
+		if err := r.read(&fr); err == nil {
+			t.Fatalf("refused connection stayed open: read %+v", fr)
 		}
-		if fr.Msg == nil || fr.Msg.Kind != broker.MsgNotify {
-			continue
+		assertNoPort(t, srv, "raw")
+		assertRefusal(t, srv, codec)
+		return
+	}
+	sub, err := MarshalFrame(CodecBinary5, nil, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: box(0, 10, 0, 10)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(sub); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, b, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
+}
+
+func handshakePeerHello(t *testing.T, codec uint8) {
+	b := listenTestBroker(t, "B", Pairwise)
+	srv := b.impl.(*tcpServer)
+	conn := rawDial(t, b.Addr())
+	if err := writeJSONFrame(conn, &Frame{Hello: "P", Codec: codec, Cluster: 1}); err != nil {
+		t.Fatal(err)
+	}
+	r := newFrameReader(conn)
+	readAck(t, r, "B")
+	_, linked := b.NeighborTableMetrics("P")
+	if codec != uint8(CodecBinary5) {
+		var fr Frame
+		if err := r.read(&fr); err == nil {
+			t.Fatalf("refused connection stayed open: read %+v", fr)
 		}
-		if fr.Msg.SubID != "s1" || fr.Msg.PubID != "p1" {
-			t.Fatalf("legacy notify = %+v", fr.Msg)
+		if linked {
+			t.Fatal("refused peer was registered as a neighbor")
 		}
-		break
+		assertNoPort(t, srv, "P")
+		assertRefusal(t, srv, codec)
+		return
+	}
+	if !linked {
+		t.Fatal("current-version peer hello did not register the neighbor")
+	}
+	if got := b.PeerClusterVersion("P"); got != 1 {
+		t.Fatalf("peer cluster version = %d, want 1", got)
 	}
 }
 
-// TestTCPLegacyJSONPeer models a PR-3 peer broker (binary pinned off
-// via WithWireCodec) against a binary one: the overlay works and the
-// binary side never upgrades its port to the peer.
-func TestTCPLegacyJSONPeer(t *testing.T) {
-	oldB := listenTestBroker(t, "OLD", Pairwise, WithWireCodec(CodecJSON))
-	newB := listenTestBroker(t, "NEW", Pairwise)
-	if err := oldB.ConnectPeer("NEW", newB.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := newB.ConnectPeer("OLD", oldB.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	ctx := testCtx(t)
-	sub := dialTest(t, oldB.Addr(), "alice")
-	pub := dialTest(t, newB.Addr(), "bob")
-	if err := sub.Subscribe(ctx, "s1", box(0, 50, 0, 50)); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, newB, 2*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-	if err := pub.Publish(ctx, "p1", subscription.NewPublication(10, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvOne(t, sub, 2*time.Second); !ok {
-		t.Fatal("cross-version notification did not arrive")
-	}
-	// The new broker's outbound port to OLD must still write JSON: OLD
-	// advertised codec 0 in its hello and ack.
-	srvNew := newB.impl.(*tcpServer)
-	srvNew.mu.Lock()
-	p := srvNew.ports["OLD"]
-	srvNew.mu.Unlock()
-	if p == nil {
-		t.Fatal("NEW has no port to OLD")
-	}
-	if got := p.writeCodec(); got != CodecJSON {
-		t.Fatalf("NEW writes %v to the JSON-only peer", got)
-	}
-}
-
-// TestTCPBatchSplitForLegacyPeer pins the vocabulary downgrade: a
-// peer that never advertised a binary codec version may be a
-// pre-batch build, so batch messages bound for it must be split into
-// the per-item SUB/UNSUB frames its state machine knows. The peer
-// here is a raw JSON acceptor that fails the test on any post-PR-3
-// message kind.
-func TestTCPBatchSplitForLegacyPeer(t *testing.T) {
+func handshakePeerAck(t *testing.T, codec uint8) {
 	a := listenTestBroker(t, "A", Pairwise)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	srv := a.impl.(*tcpServer)
+	addr, hellos := rawAcceptor(t, "P", codec)
+	established, err := a.DialPeer("P", addr)
+	if hello := <-hellos; hello.Hello != "A" || hello.Codec != uint8(CodecBinary5) {
+		t.Fatalf("DialPeer hello = %+v", hello)
 	}
-	defer ln.Close()
-
-	type frameRec struct {
-		kind  broker.MsgKind
-		subID string
-	}
-	got := make(chan frameRec, 64)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
+	if codec != uint8(CodecBinary5) {
+		if err == nil || established {
+			t.Fatalf("DialPeer against a version-%d ack: established=%v err=%v", codec, established, err)
 		}
-		defer conn.Close()
-		// A PR-3 acceptor: json.Decoder over the inbound peer stream,
-		// hello first, then messages; an unknown kind kills the link.
-		dec := json.NewDecoder(conn)
-		var hello Frame
-		if err := dec.Decode(&hello); err != nil || hello.Hello != "A" {
-			fail <- fmt.Errorf("bad hello %+v: %v", hello, err)
-			return
+		if !namesBothVersions(err.Error(), codec) {
+			t.Fatalf("DialPeer error %q does not name versions %d and %d", err, codec, CodecBinary5)
 		}
-		for {
-			var fr Frame
-			if err := dec.Decode(&fr); err != nil {
-				return // connection closed at shutdown
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgNotify {
-				fail <- fmt.Errorf("pre-batch peer received kind %v", fr.Msg.Kind)
-				return
-			}
-			got <- frameRec{kind: fr.Msg.Kind, subID: fr.Msg.SubID}
-		}
-	}()
-	if err := a.ConnectPeer("OLD", ln.Addr().String()); err != nil {
-		t.Fatal(err)
+		assertNoPort(t, srv, "P")
+		assertRefusal(t, srv, codec)
+		return
 	}
-
-	ctx := testCtx(t)
-	c := dialTest(t, a.Addr(), "alice")
-	const n = 5
-	subs := make([]BatchSub, n)
-	for i := range subs {
-		subs[i] = BatchSub{SubID: fmt.Sprintf("s%d", i), Sub: tile(int64(i))}
+	if err != nil || !established {
+		t.Fatalf("DialPeer against a current ack: established=%v err=%v", established, err)
 	}
-	if err := c.SubscribeBatch(ctx, subs); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case rec := <-got:
-			if rec.kind != broker.MsgSubscribe || rec.subID != fmt.Sprintf("s%d", i) {
-				t.Fatalf("frame %d = %+v, want per-item subscribe of s%d", i, rec, i)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("legacy peer received %d of %d split frames", i, n)
-		}
-	}
-	if err := c.UnsubscribeBatch(ctx, []string{"s0", "s1"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case rec := <-got:
-			if rec.kind != broker.MsgUnsubscribe || rec.subID != fmt.Sprintf("s%d", i) {
-				t.Fatalf("unsub frame %d = %+v", i, rec)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("legacy peer did not receive split unsubscribes")
-		}
+	srv.mu.Lock()
+	_, ok := srv.ports["P"]
+	srv.mu.Unlock()
+	if !ok {
+		t.Fatal("established link has no port")
 	}
 }
 
-// TestTCPClientBatchSplitForLegacyBroker is the client-side mirror of
-// the vocabulary downgrade: a broker that never acks is a pre-binary
-// build, so Client.SubscribeBatch must reach it as per-item SUB
-// frames after the bounded ack wait.
-func TestTCPClientBatchSplitForLegacyBroker(t *testing.T) {
+func handshakeClientAck(t *testing.T, codec uint8) {
+	addr, hellos := rawAcceptor(t, "B", codec)
+	c, err := Dial(testCtx(t), addr, "alice")
+	if hello := <-hellos; hello.Hello != "alice" || !hello.Client || hello.Codec != uint8(CodecBinary5) {
+		t.Fatalf("Dial hello = %+v", hello)
+	}
+	if codec != uint8(CodecBinary5) {
+		if err == nil {
+			c.Close()
+			t.Fatalf("Dial accepted a version-%d ack", codec)
+		}
+		if !namesBothVersions(err.Error(), codec) {
+			t.Fatalf("Dial error %q does not name versions %d and %d", err, codec, CodecBinary5)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+}
+
+// TestTCPDialWaitsForAck pins that Dial's ack wait is bounded by its
+// context: a listener that never answers the hello fails the dial when
+// the context ends.
+func TestTCPDialWaitsForAck(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	type frameRec struct {
-		kind  broker.MsgKind
-		subID string
-	}
-	got := make(chan frameRec, 16)
-	fail := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
-			fail <- err
 			return
 		}
 		defer conn.Close()
-		// A PR-3 broker: reads the hello, never acks, json-decodes
-		// frames, dies on unknown kinds.
-		dec := json.NewDecoder(conn)
-		var hello Frame
-		if err := dec.Decode(&hello); err != nil || hello.Hello != "alice" || !hello.Client {
-			fail <- fmt.Errorf("bad hello %+v: %v", hello, err)
+		io.Copy(io.Discard, conn) // read the hello, never answer
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	c, err := Dial(ctx, ln.Addr().String(), "alice")
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded without an ack")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Dial error = %v, want the context deadline", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("Dial returned after %v, long past its 200ms context", d)
+	}
+}
+
+// TestTCPJSONMessageAfterHandshake pins the choice for JSON message
+// frames after the handshake: they are a protocol error, not ignored.
+// The broker closes a client connection that sends one and applies
+// nothing; a client whose broker sends one ends its notification
+// stream.
+func TestTCPJSONMessageAfterHandshake(t *testing.T) {
+	b := listenTestBroker(t, "B", Pairwise)
+	conn := rawDial(t, b.Addr())
+	if err := writeJSONFrame(conn, &Frame{Hello: "raw", Client: true, Codec: uint8(CodecBinary5)}); err != nil {
+		t.Fatal(err)
+	}
+	r := newFrameReader(conn)
+	readAck(t, r, "B")
+	if err := writeJSONFrame(conn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "s1", Sub: box(0, 10, 0, 10)}}); err != nil {
+		t.Fatal(err)
+	}
+	var fr Frame
+	if err := r.read(&fr); err == nil {
+		t.Fatalf("broker kept the connection open after a JSON message: read %+v", fr)
+	}
+	if m := b.Metrics(); m.SubsReceived != 0 {
+		t.Fatalf("broker applied a JSON message frame: %+v", m)
+	}
+
+	// Client side: a broker that acks, then pushes a JSON notification.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
 			return
 		}
-		for {
-			var fr Frame
-			if err := dec.Decode(&fr); err != nil {
-				return
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgNotify {
-				fail <- fmt.Errorf("pre-batch broker received kind %v", fr.Msg.Kind)
-				return
-			}
-			got <- frameRec{kind: fr.Msg.Kind, subID: fr.Msg.SubID}
+		defer conn.Close()
+		var hello Frame
+		if newFrameReader(conn).read(&hello) != nil {
+			return
 		}
+		writeJSONFrame(conn, &Frame{Ack: "B", Codec: uint8(CodecBinary5)})
+		writeJSONFrame(conn, &Frame{Msg: &broker.Message{Kind: broker.MsgNotify, SubID: "s1", PubID: "p1"}})
+		io.Copy(io.Discard, conn)
 	}()
-
 	c, err := Dial(testCtx(t), ln.Addr().String(), "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// A short deadline bounds the ack wait; the broker never acks, so
-	// the batch splits.
-	sctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	if err := c.SubscribeBatch(sctx, []BatchSub{
-		{SubID: "s0", Sub: tile(0)},
-		{SubID: "s1", Sub: tile(1)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case rec := <-got:
-			if rec.kind != broker.MsgSubscribe || rec.subID != fmt.Sprintf("s%d", i) {
-				t.Fatalf("frame %d = %+v, want per-item subscribe of s%d", i, rec, i)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("legacy broker received %d of 2 split frames", i)
+	select {
+	case n, ok := <-c.Notifications():
+		if ok {
+			t.Fatalf("client delivered a JSON notification: %+v", n)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client stream stayed open after a JSON frame")
 	}
 }
 
-// TestTCPPeerCodecDowngrade pins that a peer's LATEST advertisement
-// wins: after a binary peer re-hellos with no codec (a rollback to a
-// JSON-only build), the outbound port must drop back to JSON.
-func TestTCPPeerCodecDowngrade(t *testing.T) {
+// TestTCPPeerLinkSyncIsBinary pins that a dialed peer port writes
+// binary from its first frame: the link-sync SUBBATCH that follows the
+// ack carries the backfilled roots as a binary frame.
+func TestTCPPeerLinkSyncIsBinary(t *testing.T) {
 	a := listenTestBroker(t, "A", Pairwise)
-	srv := a.impl.(*tcpServer)
-	// Stand in for the peer's connections with direct advertisement
-	// events (hello/ack handling funnels through learnPeerCodec).
-	srv.learnPeerCodec("B", CodecBinary)
-	srv.mu.Lock()
-	up := srv.peerCodec["B"]
-	srv.mu.Unlock()
-	if up != CodecBinary {
-		t.Fatalf("after binary hello peerCodec = %v", up)
+	ctx := testCtx(t)
+	c := dialTest(t, a.Addr(), "alice")
+	if err := c.Subscribe(ctx, "s1", box(0, 50, 0, 50)); err != nil {
+		t.Fatal(err)
 	}
-	srv.learnPeerCodec("B", CodecJSON)
-	srv.mu.Lock()
-	down := srv.peerCodec["B"]
-	srv.mu.Unlock()
-	if down != CodecJSON {
-		t.Fatalf("rollback hello did not downgrade: peerCodec = %v", down)
-	}
-}
+	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
 
-// TestTCPPeerBinaryUpgrade is the positive peer case: two binary
-// brokers end up with binary ports in both directions once hellos and
-// acks have crossed — at the v5 vocabulary, since both default builds
-// advertise it.
-func TestTCPPeerBinaryUpgrade(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	b := listenTestBroker(t, "B", Pairwise)
-	if err := a.ConnectPeer("B", b.Addr()); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ConnectPeer("A", a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for _, pair := range []struct {
-		srv  *tcpServer
-		peer string
-	}{{a.impl.(*tcpServer), "B"}, {b.impl.(*tcpServer), "A"}} {
-		for {
-			pair.srv.mu.Lock()
-			p := pair.srv.ports[pair.peer]
-			pair.srv.mu.Unlock()
-			if p != nil && p.writeCodec() == CodecBinary5 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s port to %s never upgraded to binary v5", pair.srv.b.ID(), pair.peer)
-			}
-			time.Sleep(5 * time.Millisecond)
+	defer ln.Close()
+	first := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			first <- err
+			return
 		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		r := newFrameReader(conn)
+		var fr Frame
+		if err := r.read(&fr); err != nil {
+			first <- err
+			return
+		}
+		if err := writeJSONFrame(conn, &Frame{Ack: "P", Codec: uint8(CodecBinary5)}); err != nil {
+			first <- err
+			return
+		}
+		b, err := r.r.Peek(1)
+		if err != nil {
+			first <- err
+			return
+		}
+		if b[0] != binMagic {
+			first <- fmt.Errorf("first frame after the ack starts with %#x, want the binary magic", b[0])
+			return
+		}
+		r.binaryOnly = true
+		if err := r.read(&fr); err != nil {
+			first <- err
+			return
+		}
+		if fr.Msg.Kind != broker.MsgSubscribeBatch || len(fr.Msg.Subs) != 1 || fr.Msg.Subs[0].SubID != "s1" {
+			first <- fmt.Errorf("first frame = %+v, want the link-sync SUBBATCH of s1", fr.Msg)
+			return
+		}
+		first <- nil
+	}()
+	if err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-first; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -545,230 +569,6 @@ func TestTCPPublishBatchDelivery(t *testing.T) {
 	}
 }
 
-// TestTCPPublishBatchStaysBatchedForV2Peer pins that a producer batch
-// crosses the overlay as ONE PUBBATCH frame when the peer advertised
-// the v2 vocabulary.
-func TestTCPPublishBatchStaysBatchedForV2Peer(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	frames := make(chan broker.Message, 16)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		r := newFrameReader(conn)
-		var fr Frame
-		if err := r.read(&fr); err != nil || fr.Hello != "A" {
-			return
-		}
-		// A v2-capable peer: the ack advertises binary v2.
-		if err := writeJSONFrame(conn, &Frame{Ack: "P", Codec: uint8(CodecBinary2)}); err != nil {
-			return
-		}
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Msg != nil {
-				frames <- *fr.Msg
-			}
-		}
-	}()
-	if err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	// The fake peer dials A and announces a subscription so A forwards
-	// matching publications to it.
-	peerConn, err := net.Dial("tcp", a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peerConn.Close()
-	if err := writeJSONFrame(peerConn, &Frame{Hello: "P", Codec: uint8(CodecBinary2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSONFrame(peerConn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-
-	ctx := testCtx(t)
-	c := dialTest(t, a.Addr(), "bob")
-	const n = 5
-	batch := make([]BatchPub, n)
-	for i := range batch {
-		batch[i] = BatchPub{PubID: fmt.Sprintf("q%d", i), Pub: subscription.NewPublication(int64(i), int64(i))}
-	}
-	if err := c.PublishBatch(ctx, batch); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case msg := <-frames:
-		if msg.Kind != broker.MsgPublishBatch || len(msg.Pubs) != n {
-			t.Fatalf("peer received %v with %d pubs, want one PUBBATCH of %d", msg.Kind, len(msg.Pubs), n)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("forwarded publish batch never arrived")
-	}
-}
-
-// TestTCPPublishBatchSplitForV1Peer pins the vocabulary downgrade: a
-// peer that advertised only binary v1 (a PR-4 build) predates the
-// PUBBATCH kind, so the batch reaches it as per-item publish frames.
-func TestTCPPublishBatchSplitForV1Peer(t *testing.T) {
-	a := listenTestBroker(t, "A", Pairwise)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	frames := make(chan broker.Message, 16)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
-		}
-		defer conn.Close()
-		r := newFrameReader(conn)
-		var fr Frame
-		if err := r.read(&fr); err != nil || fr.Hello != "A" {
-			fail <- fmt.Errorf("bad hello %+v: %v", fr, err)
-			return
-		}
-		if err := writeJSONFrame(conn, &Frame{Ack: "P", Codec: uint8(CodecBinary)}); err != nil {
-			fail <- err
-			return
-		}
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgUnsubscribeBatch {
-				fail <- fmt.Errorf("v1 peer received kind %v", fr.Msg.Kind)
-				return
-			}
-			frames <- *fr.Msg
-		}
-	}()
-	if err := a.ConnectPeer("P", ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	peerConn, err := net.Dial("tcp", a.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peerConn.Close()
-	if err := writeJSONFrame(peerConn, &Frame{Hello: "P", Codec: uint8(CodecBinary)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeJSONFrame(peerConn, &Frame{Msg: &broker.Message{Kind: broker.MsgSubscribe, SubID: "ps", Sub: box(0, 100, 0, 100)}}); err != nil {
-		t.Fatal(err)
-	}
-	waitMetric(t, a, 5*time.Second, func(m Metrics) bool { return m.SubsReceived == 1 })
-
-	ctx := testCtx(t)
-	c := dialTest(t, a.Addr(), "bob")
-	const n = 4
-	batch := make([]BatchPub, n)
-	for i := range batch {
-		batch[i] = BatchPub{PubID: fmt.Sprintf("q%d", i), Pub: subscription.NewPublication(int64(i), int64(i))}
-	}
-	if err := c.PublishBatch(ctx, batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case msg := <-frames:
-			if msg.Kind != broker.MsgPublish || msg.PubID != fmt.Sprintf("q%d", i) {
-				t.Fatalf("frame %d = %v %s, want per-item publish of q%d", i, msg.Kind, msg.PubID, i)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("v1 peer received %d of %d split frames", i, n)
-		}
-	}
-}
-
-// TestTCPClientPublishBatchSplitForV1Broker is the client-side mirror:
-// a broker that acked only binary v1 receives Client.PublishBatch as
-// per-item publish frames.
-func TestTCPClientPublishBatchSplitForV1Broker(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	frames := make(chan broker.Message, 16)
-	fail := make(chan error, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			fail <- err
-			return
-		}
-		defer conn.Close()
-		r := newFrameReader(conn)
-		var fr Frame
-		if err := r.read(&fr); err != nil || fr.Hello != "alice" || !fr.Client {
-			fail <- fmt.Errorf("bad hello %+v: %v", fr, err)
-			return
-		}
-		if err := writeJSONFrame(conn, &Frame{Ack: "B", Codec: uint8(CodecBinary)}); err != nil {
-			fail <- err
-			return
-		}
-		for {
-			if err := r.read(&fr); err != nil {
-				return
-			}
-			if fr.Msg == nil {
-				continue
-			}
-			if fr.Msg.Kind > broker.MsgUnsubscribeBatch {
-				fail <- fmt.Errorf("v1 broker received kind %v", fr.Msg.Kind)
-				return
-			}
-			frames <- *fr.Msg
-		}
-	}()
-
-	c, err := Dial(testCtx(t), ln.Addr().String(), "alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.PublishBatch(testCtx(t), []BatchPub{
-		{PubID: "q0", Pub: subscription.NewPublication(1, 1)},
-		{PubID: "q1", Pub: subscription.NewPublication(2, 2)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case msg := <-frames:
-			if msg.Kind != broker.MsgPublish || msg.PubID != fmt.Sprintf("q%d", i) {
-				t.Fatalf("frame %d = %v %s", i, msg.Kind, msg.PubID)
-			}
-		case err := <-fail:
-			t.Fatal(err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("v1 broker did not receive split publishes")
-		}
-	}
-}
-
 // TestSimPublishBatch pins Client.PublishBatch on the simulated
 // transport: one batch message, every publication delivered.
 func TestSimPublishBatch(t *testing.T) {
@@ -809,5 +609,67 @@ func TestSimPublishBatch(t *testing.T) {
 	}
 	if !got["p0"] || !got["p1"] || !got["p2"] {
 		t.Fatalf("sim deliveries = %v", got)
+	}
+}
+
+// TestTCPControlFramesGatedOnCluster pins the transport's control-frame
+// gate: toward a peer whose handshake advertised no cluster layer a
+// control frame is refused and counted, routing frames still flow, and
+// once the peer's own hello advertises a cluster layer the gate opens.
+func TestTCPControlFramesGatedOnCluster(t *testing.T) {
+	a := listenTestBroker(t, "A", Pairwise)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	frames := make(chan broker.MsgKind, 16)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := newFrameReader(conn)
+		var fr Frame
+		if r.read(&fr) != nil || writeJSONFrame(conn, &Frame{Ack: "P", Codec: uint8(CodecBinary5)}) != nil {
+			return
+		}
+		r.binaryOnly = true
+		for r.read(&fr) == nil {
+			frames <- fr.Msg.Kind
+		}
+	}()
+	if _, err := a.DialPeer("P", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if a.SendPeer("P", broker.Message{Kind: broker.MsgPing, Seq: 1}) {
+		t.Fatal("ping toward a peer without a cluster layer was accepted")
+	}
+	if got := a.Metrics().ControlDropped; got != 1 {
+		t.Fatalf("ControlDropped = %d, want 1", got)
+	}
+	if !a.SendPeer("P", broker.Message{Kind: broker.MsgUnsubscribe, SubID: "x"}) {
+		t.Fatal("routing frame toward the peer was refused")
+	}
+
+	// The peer's own hello advertises a cluster layer: pings now pass.
+	conn := rawDial(t, a.Addr())
+	if err := writeJSONFrame(conn, &Frame{Hello: "P", Codec: uint8(CodecBinary5), Cluster: 1}); err != nil {
+		t.Fatal(err)
+	}
+	readAck(t, newFrameReader(conn), "A")
+	if !a.SendPeer("P", broker.Message{Kind: broker.MsgPing, Seq: 2}) {
+		t.Fatal("ping refused after the peer advertised a cluster layer")
+	}
+	for _, want := range []broker.MsgKind{broker.MsgUnsubscribe, broker.MsgPing} {
+		select {
+		case k := <-frames:
+			if k != want {
+				t.Fatalf("peer received %v, want %v", k, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("peer never received %v", want)
+		}
 	}
 }
