@@ -11,6 +11,7 @@ package simnet
 
 import (
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"sort"
 
@@ -40,12 +41,6 @@ func WithFailures(drop, dup float64, seed uint64) Option {
 	}
 }
 
-// WithMaxSteps overrides the runaway guard (default one million
-// processed messages per Run call).
-func WithMaxSteps(steps int) Option {
-	return func(n *Network) { n.maxSteps = steps }
-}
-
 // WithDelays enables seeded delay injection on broker-to-broker
 // links: each message is independently deferred with probability
 // delay — set aside and re-enqueued only once the network would
@@ -59,6 +54,10 @@ func WithDelays(delay float64, seed uint64) Option {
 		n.delayRng = rand.New(rand.NewPCG(seed^0xde1a, seed|1))
 	}
 }
+
+// maxSteps is the runaway guard: the most messages one Run call
+// processes before it reports a possible routing loop.
+const maxSteps = 1_000_000
 
 // Network is a deterministic in-memory broker overlay.
 type Network struct {
@@ -76,7 +75,6 @@ type Network struct {
 	delayRate float64
 	delayRng  *rand.Rand
 	delayedQ  []item
-	maxSteps  int
 
 	// downLinks holds partitioned broker pairs (normalized order):
 	// every message crossing a down link is dropped, in both
@@ -88,11 +86,13 @@ type Network struct {
 	// dead process.
 	crashed map[string]bool
 
+	// sent counts, per kind, every message a broker sent — to a
+	// neighbor or a client — before anything could discard it.
+	sent map[broker.MsgKind]uint64
+
 	dropped     int
 	duplicated  int
-	delayed     int
 	partitioned int
-	crashLost   int
 }
 
 // New returns an empty network.
@@ -101,7 +101,7 @@ func New(opts ...Option) *Network {
 		brokers:   make(map[string]*broker.Broker),
 		clientAt:  make(map[string]string),
 		delivered: make(map[string][]broker.Message),
-		maxSteps:  1_000_000,
+		sent:      make(map[broker.MsgKind]uint64),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -233,8 +233,8 @@ func (n *Network) Run() (int, error) {
 	steps := 0
 	for {
 		for n.head < len(n.queue) {
-			if steps >= n.maxSteps {
-				return steps, fmt.Errorf("simnet: exceeded %d steps; possible routing loop", n.maxSteps)
+			if steps >= maxSteps {
+				return steps, fmt.Errorf("simnet: exceeded %d steps; possible routing loop", maxSteps)
 			}
 			it := n.queue[n.head]
 			n.head++
@@ -244,7 +244,6 @@ func (n *Network) Run() (int, error) {
 			if b == nil {
 				// Destination crashed after this message was queued; the
 				// bytes die with the process.
-				n.crashLost++
 				continue
 			}
 			outs, err := b.Handle(it.from, it.msg)
@@ -348,12 +347,6 @@ func (n *Network) SetFailureRates(drop, dup, delay float64) {
 	n.dropRate, n.dupRate, n.delayRate = drop, dup, delay
 }
 
-// CrashLost reports how many messages died with crashed brokers.
-func (n *Network) CrashLost() int { return n.crashLost }
-
-// Delayed reports how many messages delay injection deferred.
-func (n *Network) Delayed() int { return n.delayed }
-
 // Inject enqueues a broker-originated message onto the overlay — the
 // entry point for layers above the routing protocol (the cluster
 // membership layer's pings and gossip). The message crosses the same
@@ -367,12 +360,12 @@ func (n *Network) Inject(fromBroker string, o broker.Outbound) {
 // mailbox or onto the link toward a neighbor broker (with optional
 // failure injection).
 func (n *Network) route(fromBroker string, o broker.Outbound) {
+	n.sent[o.Msg.Kind]++
 	if o.Msg.Kind == broker.MsgNotify {
 		n.delivered[o.To] = append(n.delivered[o.To], o.Msg)
 		return
 	}
 	if n.crashed[o.To] {
-		n.crashLost++
 		return
 	}
 	if _, isBroker := n.brokers[o.To]; !isBroker {
@@ -399,7 +392,6 @@ func (n *Network) route(fromBroker string, o broker.Outbound) {
 	for i := 0; i < copies; i++ {
 		it := item{to: o.To, from: fromBroker, msg: o.Msg}
 		if n.delayRng != nil && n.delayRng.Float64() < n.delayRate {
-			n.delayed++
 			n.delayedQ = append(n.delayedQ, it)
 			continue
 		}
@@ -432,6 +424,15 @@ func (n *Network) DeliveredSince(client string, from int) []broker.Message {
 // experiment phases).
 func (n *Network) ClearDeliveries() {
 	n.delivered = make(map[string][]broker.Message)
+}
+
+// SentByKind returns how many messages of each kind brokers have sent
+// since the network was created, to neighbors and clients alike. A
+// message counts once, when its broker emits it, whether or not a
+// partition, a crash or failure injection discards it later;
+// client-originated messages do not count.
+func (n *Network) SentByKind() map[broker.MsgKind]uint64 {
+	return maps.Clone(n.sent)
 }
 
 // Dropped and Duplicated report failure-injection activity.

@@ -270,6 +270,53 @@ func TestGridBroadcastAllSubscribersNotified(t *testing.T) {
 	}
 }
 
+// TestSentByKindMatchesBrokerMetrics pins the per-kind send counter
+// against the brokers' own counters on a chain: every SUB frame a
+// broker forwards and every NOTIFY it emits is counted exactly once,
+// and client-originated messages are not counted at all.
+func TestSentByKindMatchesBrokerMetrics(t *testing.T) {
+	n := New()
+	if err := BuildChain(n, 4, store.PolicyPairwise); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ client, at string }{{"a", "B1"}, {"b", "B2"}, {"pub", "B4"}} {
+		if err := n.AttachClient(c.client, c.at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// s2 is covered by s1 toward B3, so suppression keeps the forward
+	// count below the naive flood.
+	n.ClientSubscribe("a", "s1", box(0, 50, 0, 50))
+	n.ClientSubscribe("a", "s3", box(60, 90, 60, 90))
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	n.ClientSubscribe("b", "s2", box(10, 20, 10, 20))
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for v := int64(5); v < 100; v += 10 {
+		n.ClientPublish("pub", fmt.Sprintf("p%d", v), subscription.NewPublication(v, v))
+	}
+	if _, err := n.Run(); err != nil {
+		t.Fatal(err)
+	}
+	m := n.TotalMetrics()
+	sent := n.SentByKind()
+	if m.SubsSuppressed == 0 || m.PubsForwarded == 0 || m.Notifications == 0 {
+		t.Fatalf("scenario did no work: %+v", m)
+	}
+	if got := sent[broker.MsgSubscribe]; got != uint64(m.SubsForwarded) {
+		t.Errorf("sent SUB frames = %d, brokers forwarded %d", got, m.SubsForwarded)
+	}
+	if got := sent[broker.MsgNotify]; got != uint64(m.Notifications) {
+		t.Errorf("sent NOTIFY frames = %d, brokers notified %d", got, m.Notifications)
+	}
+	if got := sent[broker.MsgPublish]; got != uint64(m.PubsForwarded) {
+		t.Errorf("sent PUB frames = %d, brokers forwarded %d (client publishes must not count)", got, m.PubsForwarded)
+	}
+}
+
 func TestFailureInjectionDuplicatesAreIdempotent(t *testing.T) {
 	n := New(WithFailures(0, 0.5, 99))
 	if err := BuildChain(n, 4, store.PolicyPairwise); err != nil {

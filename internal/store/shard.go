@@ -16,9 +16,8 @@ package store
 // never considered jointly, so a sharded table may keep subscriptions
 // active that a single store would suppress. That weakening is sound —
 // it errs toward forwarding, never toward losing publications. The
-// same holds for reverse pruning (demotion scans only the home shard)
-// and for races between concurrent subscribers: every interleaving
-// resolves toward keeping subscriptions active. WithShards(1) restores
+// same holds for races between concurrent subscribers: every
+// interleaving resolves toward keeping subscriptions active. WithShards(1) restores
 // the exact single-store semantics — decision for decision, including
 // checker streams — which the equivalence tests pin.
 //
@@ -57,14 +56,12 @@ type Router func(id ID, s subscription.Subscription) uint64
 type ShardedOption func(*shardedConfig)
 
 type shardedConfig struct {
-	shards       int
-	seed         uint64
-	copts        []core.Option
-	reversePrune bool
-	pruning      bool
-	schema       *subscription.Schema
-	router       Router
-	rendezvous   bool
+	shards     int
+	seed       uint64
+	copts      []core.Option
+	schema     *subscription.Schema
+	router     Router
+	rendezvous bool
 }
 
 // WithShards sets the shard count (default 1). One shard reproduces
@@ -87,19 +84,6 @@ func WithShardSeed(seed uint64) ShardedOption {
 // trial cap, …) applied to every per-shard checker.
 func WithShardCheckerOptions(opts ...core.Option) ShardedOption {
 	return func(c *shardedConfig) { c.copts = append(c.copts, opts...) }
-}
-
-// WithShardReversePrune enables reverse pruning in every shard. With
-// more than one shard, demotion scans only the arriving subscription's
-// home shard (see the semantics note on Sharded).
-func WithShardReversePrune(enabled bool) ShardedOption {
-	return func(c *shardedConfig) { c.reversePrune = enabled }
-}
-
-// WithShardCandidatePruning toggles the per-attribute candidate index
-// in every shard (default on).
-func WithShardCandidatePruning(enabled bool) ShardedOption {
-	return func(c *shardedConfig) { c.pruning = enabled }
 }
 
 // WithShardSchema makes the default router schema-aware: attribute
@@ -230,7 +214,7 @@ func NewSharded(policy Policy, opts ...ShardedOption) (*Sharded, error) {
 	if policy < PolicyNone || policy > PolicyGroup {
 		return nil, fmt.Errorf("store: invalid policy %d", policy)
 	}
-	cfg := shardedConfig{shards: 1, seed: 1, pruning: true}
+	cfg := shardedConfig{shards: 1, seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -269,10 +253,7 @@ func NewSharded(policy Policy, opts ...ShardedOption) (*Sharded, error) {
 	}
 	sh.metrics.placed = make([]atomic.Uint64, cfg.shards)
 	for j := range sh.shards {
-		sopts := []Option{
-			WithReversePrune(cfg.reversePrune),
-			WithCandidatePruning(cfg.pruning),
-		}
+		var sopts []Option
 		if policy == PolicyGroup {
 			var checker *core.Checker
 			var err error

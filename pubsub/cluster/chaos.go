@@ -213,7 +213,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	if cfg.Routed {
 		for _, id := range r.ids {
-			r.routers[id] = AttachRouter(r.nodes[id], r.net.Broker(id), RouterConfig{})
+			r.routers[id] = AttachRouter(r.nodes[id], r.net.Broker(id))
 		}
 	}
 	for _, id := range r.ids {
@@ -223,7 +223,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	// Assemble the membership layer before any fault.
-	if err := r.step(250*time.Millisecond, 8); err != nil {
+	if err := SimStep(r.net, r.clock, r.ids, r.nodes, 250*time.Millisecond, 8); err != nil {
 		return nil, err
 	}
 
@@ -252,7 +252,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		if cfg.KillRendezvous && round == cfg.Rounds/2 {
 			// Crash the rendezvous owner of the schedule's home cell
 			// this round, whatever the script drew.
-			owner := RendezvousOwner(chaosRendezvousProbe, RouterConfig{}, r.ids)
+			owner := RendezvousOwner(chaosRendezvousProbe, r.ids)
 			for i, id := range r.ids {
 				if id == owner {
 					crashIdx, cutEdge = i, -1
@@ -275,7 +275,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				r.net.SetLink(r.edges[cutEdge][0], r.edges[cutEdge][1], false)
 			}
 		}
-		if err := r.step(250*time.Millisecond, 4); err != nil {
+		if err := SimStep(r.net, r.clock, r.ids, r.nodes, 250*time.Millisecond, 4); err != nil {
 			return nil, err
 		}
 
@@ -319,7 +319,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				return nil, err
 			}
 		}
-		if err := r.step(250*time.Millisecond, 4); err != nil {
+		if err := SimStep(r.net, r.clock, r.ids, r.nodes, 250*time.Millisecond, 4); err != nil {
 			return nil, err
 		}
 
@@ -334,7 +334,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				return nil, err
 			}
 		}
-		if err := r.step(250*time.Millisecond, 4); err != nil {
+		if err := SimStep(r.net, r.clock, r.ids, r.nodes, 250*time.Millisecond, 4); err != nil {
 			return nil, err
 		}
 	}
@@ -342,7 +342,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// Heal phase: injection off, everything alive; gossip rounds run
 	// until every link digest converges (bounded).
 	r.net.SetFailureRates(0, 0, 0)
-	if err := r.step(250*time.Millisecond, 12); err != nil {
+	if err := SimStep(r.net, r.clock, r.ids, r.nodes, 250*time.Millisecond, 12); err != nil {
 		return nil, err
 	}
 	for r.report.HealRounds = 0; r.report.HealRounds < cfg.MaxHealRounds; r.report.HealRounds++ {
@@ -350,7 +350,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			r.report.Converged = true
 			break
 		}
-		if err := r.step(ncfg.GossipEvery, 1); err != nil {
+		if err := SimStep(r.net, r.clock, r.ids, r.nodes, ncfg.GossipEvery, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -396,24 +396,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		r.report.RoutedPubs += m.RoutedPubs
 	}
 	return &r.report, nil
-}
-
-// step advances the clock, ticks every live node, and runs the
-// network to quiescence, `ticks` times.
-func (r *chaosRun) step(d time.Duration, ticks int) error {
-	for i := 0; i < ticks; i++ {
-		r.clock.Advance(d)
-		for _, id := range r.ids {
-			if r.net.Crashed(id) {
-				continue // dead processes do not tick
-			}
-			r.nodes[id].Tick()
-		}
-		if _, err := r.net.Run(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // crash kills a broker: the unsynced journal tail is lost with the

@@ -92,28 +92,32 @@ type Config struct {
 	// operation: the overlay converges to a full mesh). Without it
 	// only explicitly added peers are linked (topology operation).
 	Mesh bool
-	// ProbeFanout is how many of the due linked members receive a
-	// direct ping per tick (2) — SWIM's k. When no more than
-	// ProbeFanout members are due they are all probed, so small
-	// clusters keep the every-neighbor cadence.
-	ProbeFanout int
 	// IndirectRelays is how many relays receive a PING-REQ when a
 	// member's direct probe already stands unanswered (2) — SWIM's r.
 	// Negative disables indirect probing.
 	IndirectRelays int
-	// RetransmitMult is the λ of the per-update retransmit budget
-	// λ·⌈log₂ n⌉ (3): how many frames each membership update rides
-	// before it is dropped from the delta queue.
-	RetransmitMult int
-	// MaxDeltasPerFrame bounds the membership updates piggybacked on
-	// one control frame (6).
-	MaxDeltasPerFrame int
 	// LegacyGossip forces full-snapshot gossip toward every peer and
 	// disables delta piggybacks and indirect probes — the
 	// full-snapshot oracle the delta convergence and scale tests
 	// compare against.
 	LegacyGossip bool
 }
+
+// SWIM dissemination constants.
+const (
+	// probeFanout is how many of the due linked members receive a
+	// direct ping per tick — SWIM's k. When no more than probeFanout
+	// members are due they are all probed, so small clusters keep the
+	// every-neighbor cadence.
+	probeFanout = 2
+	// retransmitMult is the λ of the per-update retransmit budget
+	// λ·⌈log₂ n⌉: how many frames each membership update rides before
+	// it is dropped from the delta queue.
+	retransmitMult = 3
+	// maxDeltasPerFrame bounds the membership updates piggybacked on
+	// one control frame.
+	maxDeltasPerFrame = 6
+)
 
 func (c Config) withDefaults() Config {
 	if c.PingEvery <= 0 {
@@ -143,19 +147,10 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.ProbeFanout <= 0 {
-		c.ProbeFanout = 2
-	}
 	// Negative stays negative (disabled) so the sentinel survives
 	// repeated default application.
 	if c.IndirectRelays == 0 {
 		c.IndirectRelays = 2
-	}
-	if c.RetransmitMult <= 0 {
-		c.RetransmitMult = 3
-	}
-	if c.MaxDeltasPerFrame <= 0 {
-		c.MaxDeltasPerFrame = 6
 	}
 	if c.Clock == nil {
 		//brokervet:allow clockcheck this IS the clock injection point: the default for production wiring, overridden by simnet in deterministic tests
@@ -561,7 +556,7 @@ func (n *Node) enqueueUpdateLocked(mi broker.MemberInfo) {
 	n.persistDirty = true
 	n.viewDirty = true
 	n.routeEpoch.Add(1)
-	budget := n.cfg.RetransmitMult * bits.Len(uint(len(n.members)+2))
+	budget := retransmitMult * bits.Len(uint(len(n.members)+2))
 	if qu := n.updates[mi.ID]; qu != nil {
 		qu.info = mi
 		qu.remaining = budget
@@ -608,7 +603,7 @@ func (n *Node) takeDeltasLocked(max int) []broker.MemberInfo {
 }
 
 // Tick runs one round of the time-driven machinery at the injected
-// clock's current instant: direct probes for ProbeFanout random due
+// clock's current instant: direct probes for probeFanout random due
 // members, indirect probes through relays for the unanswered ones,
 // suspect→dead timeouts, gossip fan-out (deltas, or full snapshots
 // under LegacyGossip), reconnect attempts for down links,
@@ -643,8 +638,8 @@ func (n *Node) Tick() {
 	var snapshot []broker.MemberInfo // legacy full-gossip form, built lazily
 
 	// SWIM probe selection: of the linked live members due for a
-	// probe, ping at most ProbeFanout random ones this tick. Small
-	// clusters (≤ ProbeFanout due members) keep the every-neighbor
+	// probe, ping at most probeFanout random ones this tick. Small
+	// clusters (≤ probeFanout due members) keep the every-neighbor
 	// cadence; large ones pay k probes per tick regardless of size.
 	var due []*memberState
 	for _, st := range n.linkedOrder {
@@ -652,7 +647,7 @@ func (n *Node) Tick() {
 			due = append(due, st)
 		}
 	}
-	if k := n.cfg.ProbeFanout; len(due) > k {
+	if k := probeFanout; len(due) > k {
 		for i := 0; i < k; i++ {
 			j := i + n.rng.IntN(len(due)-i)
 			due[i], due[j] = due[j], due[i]
@@ -666,7 +661,7 @@ func (n *Node) Tick() {
 		n.metrics.PingsSent++
 		ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq}
 		if n.deltas() {
-			ping.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
+			ping.Members = n.takeDeltasLocked(maxDeltasPerFrame)
 		}
 		sends = append(sends, sendOp{to: st.ID, msg: ping, probe: st})
 		// Indirect probe: a previous ping already stands unanswered,
@@ -677,7 +672,7 @@ func (n *Node) Tick() {
 			for _, relay := range n.relayTargetsLocked(st.ID) {
 				n.metrics.PingReqsSent++
 				req := broker.Message{Kind: broker.MsgPingReq, Target: st.ID, Seq: st.seq}
-				req.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
+				req.Members = n.takeDeltasLocked(maxDeltasPerFrame)
 				sends = append(sends, sendOp{to: relay.ID, msg: req})
 			}
 		}
@@ -711,7 +706,7 @@ func (n *Node) Tick() {
 						to: st.ID,
 						msg: broker.Message{
 							Kind:    broker.MsgGossipDelta,
-							Members: n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame),
+							Members: n.takeDeltasLocked(maxDeltasPerFrame),
 							// The view hash arms anti-entropy: a receiver
 							// still hashing differently after the merge
 							// pushes its full map back (rate-limited), the
@@ -1047,7 +1042,7 @@ func (n *Node) HandleControl(from string, msg broker.Message) []broker.Outbound 
 		pong := broker.Message{Kind: broker.MsgPong, Seq: msg.Seq}
 		n.mu.Lock()
 		if n.deltas() {
-			pong.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
+			pong.Members = n.takeDeltasLocked(maxDeltasPerFrame)
 		}
 		n.metrics.ControlBytesSent += uint64(controlFrameSize(&pong))
 		n.mu.Unlock()
@@ -1122,7 +1117,7 @@ func (n *Node) relayProbe(from string, msg broker.Message, now time.Time) []brok
 		relayReq{origin: from, seq: msg.Seq, expires: now.Add(2 * n.cfg.PingEvery)})
 	ping := broker.Message{Kind: broker.MsgPing, Seq: st.seq}
 	if n.deltas() {
-		ping.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
+		ping.Members = n.takeDeltasLocked(maxDeltasPerFrame)
 	}
 	n.metrics.ControlBytesSent += uint64(controlFrameSize(&ping))
 	n.mu.Unlock()
@@ -1139,7 +1134,7 @@ func (n *Node) relayAcks(target string) []broker.Outbound {
 	for _, r := range reqs {
 		ack := broker.Message{Kind: broker.MsgPingReq, Ack: true, Target: target, Seq: r.seq}
 		if n.deltas() {
-			ack.Members = n.takeDeltasLocked(n.cfg.MaxDeltasPerFrame)
+			ack.Members = n.takeDeltasLocked(maxDeltasPerFrame)
 		}
 		n.metrics.ControlBytesSent += uint64(controlFrameSize(&ack))
 		outs = append(outs, broker.Outbound{To: r.origin, Msg: ack})

@@ -88,21 +88,6 @@ func newSimClusterCfg(t *testing.T, cfg Config) *simCluster {
 	return sc
 }
 
-// step advances the clock by d per tick, ticking every node and
-// running the network to quiescence, for the given number of ticks.
-func (sc *simCluster) step(d time.Duration, ticks int) {
-	sc.t.Helper()
-	for i := 0; i < ticks; i++ {
-		sc.clock.Advance(d)
-		for _, id := range sc.ids {
-			sc.nodes[id].Tick()
-		}
-		if _, err := sc.net.Run(); err != nil {
-			sc.t.Fatal(err)
-		}
-	}
-}
-
 func (sc *simCluster) subscribe(client, subID string, lo, hi int64) {
 	sc.t.Helper()
 	s := subscription.New(interval.New(lo, hi), interval.New(lo, hi))
@@ -151,7 +136,9 @@ func runPartitionScenario(t *testing.T, partition bool) (alice, carol map[string
 	sc = newSimCluster(t)
 
 	// Assemble: the reconnect loop establishes every link.
-	sc.step(250*time.Millisecond, 8)
+	if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 8); err != nil {
+		t.Fatal(err)
+	}
 	for _, pair := range [][2]string{{"B1", "B2"}, {"B2", "B1"}, {"B2", "B3"}, {"B3", "B2"}} {
 		if got := sc.memberState(pair[0], pair[1]); got != StateAlive {
 			t.Fatalf("after assembly %s sees %s as %v", pair[0], pair[1], got)
@@ -166,7 +153,9 @@ func runPartitionScenario(t *testing.T, partition bool) (alice, carol map[string
 		sc.net.SetLink("B1", "B2", false)
 		// Let the failure detector walk alive → suspect → dead on both
 		// sides of the cut (and gossip the verdict to B3).
-		sc.step(250*time.Millisecond, 40)
+		if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 40); err != nil {
+			t.Fatal(err)
+		}
 		if got := sc.memberState("B1", "B2"); got != StateDead {
 			t.Fatalf("B1 sees B2 as %v mid-partition, want dead", got)
 		}
@@ -177,7 +166,9 @@ func runPartitionScenario(t *testing.T, partition bool) (alice, carol map[string
 			t.Fatalf("gossip did not carry B1's death to B3: %v", got)
 		}
 	} else {
-		sc.step(250*time.Millisecond, 40)
+		if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 40); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Both sides keep operating: new subscriptions (whose floods are
@@ -196,7 +187,9 @@ func runPartitionScenario(t *testing.T, partition bool) (alice, carol map[string
 	}
 	// Heal: the reconnect loop re-dials (jittered backoff), the link
 	// comes back, and both sides re-announce their coverage roots.
-	sc.step(250*time.Millisecond, 40)
+	if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 40); err != nil {
+		t.Fatal(err)
+	}
 	if partition {
 		for _, pair := range [][2]string{{"B1", "B2"}, {"B2", "B1"}, {"B3", "B1"}} {
 			if got := sc.memberState(pair[0], pair[1]); got != StateAlive {
@@ -251,7 +244,9 @@ func TestFlapDuringBackfillDigestGC(t *testing.T) {
 		ReconnectMax:  2 * time.Second,
 		Seed:          7,
 	})
-	sc.step(250*time.Millisecond, 8)
+	if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 8); err != nil {
+		t.Fatal(err)
+	}
 	for _, pair := range [][2]string{{"B1", "B2"}, {"B2", "B1"}, {"B2", "B3"}, {"B3", "B2"}} {
 		if got := sc.memberState(pair[0], pair[1]); got != StateAlive {
 			t.Fatalf("after assembly %s sees %s as %v", pair[0], pair[1], got)
@@ -276,7 +271,9 @@ func TestFlapDuringBackfillDigestGC(t *testing.T) {
 	// First cut. While it stands, alice retires a1 (the UNSUBSCRIBE
 	// toward B2 dies on the dead link) and opens a2.
 	sc.net.SetLink("B1", "B2", false)
-	sc.step(250*time.Millisecond, 40)
+	if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 40); err != nil {
+		t.Fatal(err)
+	}
 	if err := sc.net.ClientUnsubscribe("alice", "a1"); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +287,9 @@ func TestFlapDuringBackfillDigestGC(t *testing.T) {
 	sc.net.SetLink("B1", "B2", true)
 	backfilled := false
 	for i := 0; i < 40 && !backfilled; i++ {
-		sc.step(250*time.Millisecond, 1)
+		if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 1); err != nil {
+			t.Fatal(err)
+		}
 		backfilled = received("a2")
 	}
 	if !backfilled {
@@ -300,12 +299,16 @@ func TestFlapDuringBackfillDigestGC(t *testing.T) {
 		t.Fatal("a1 already reconciled at backfill time; the flap cannot land between backfill and digest")
 	}
 	sc.net.SetLink("B1", "B2", false)
-	sc.step(250*time.Millisecond, 40)
+	if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 40); err != nil {
+		t.Fatal(err)
+	}
 
 	// Second heal, this time to quiescence: reconnect, duplicate
 	// backfill, and at least one full digest round trip.
 	sc.net.SetLink("B1", "B2", true)
-	sc.step(250*time.Millisecond, 60)
+	if err := SimStep(sc.net, sc.clock, sc.ids, sc.nodes, 250*time.Millisecond, 60); err != nil {
+		t.Fatal(err)
+	}
 
 	// The stale reverse-path entry is gone from the link's received
 	// set, and the digest pair agrees in both directions.

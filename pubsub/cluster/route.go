@@ -30,36 +30,24 @@ import (
 	"probsum/internal/subscription"
 )
 
-// RouterConfig tunes the rendezvous mapping. Zero values select the
-// defaults noted on each field.
-type RouterConfig struct {
-	// CellWidth is the attribute-0 span of one rendezvous cell (64).
-	// Every publication value v belongs to cell floor(v/CellWidth); a
+// The rendezvous mapping's fixed shape.
+const (
+	// cellWidth is the attribute-0 span of one rendezvous cell. Every
+	// publication value v belongs to cell floor(v/cellWidth); a
 	// subscription owns every cell its attribute-0 interval overlaps.
-	CellWidth int64
-	// MaxCells caps how many cells a subscription may span before it
-	// floods instead of routing (8): a near-unbounded subscription
-	// would rendezvous everywhere anyway, and flooding it costs less
-	// than announcing it toward every owner.
-	MaxCells int
-}
-
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.CellWidth <= 0 {
-		c.CellWidth = 64
-	}
-	if c.MaxCells <= 0 {
-		c.MaxCells = 8
-	}
-	return c
-}
+	cellWidth = 64
+	// maxCells caps how many cells a subscription may span before it
+	// floods instead of routing: a near-unbounded subscription would
+	// rendezvous everywhere anyway, and flooding it costs less than
+	// announcing it toward every owner.
+	maxCells = 8
+)
 
 // Router maps attribute-space cells to rendezvous brokers over a
 // membership Node's member view. Create with AttachRouter; safe for
 // concurrent use.
 type Router struct {
-	n   *Node
-	cfg RouterConfig
+	n *Node
 	// b is the broker the kick re-announces through — an atomic
 	// pointer so a crash/restart harness can rebind the router to the
 	// recovered broker instance.
@@ -96,8 +84,8 @@ type routeView struct {
 // publish, and the node kicks it after membership changes. Detach by
 // calling b.SetRouter(nil) and n.DetachRouter (flood mode — the
 // rollback knob).
-func AttachRouter(n *Node, b *broker.Broker, cfg RouterConfig) *Router {
-	r := &Router{n: n, cfg: cfg.withDefaults()}
+func AttachRouter(n *Node, b *broker.Broker) *Router {
+	r := &Router{n: n}
 	r.b.Store(b)
 	n.router.Store(r)
 	b.SetRouter(r)
@@ -185,9 +173,8 @@ func (r *Router) Targets(sub subscription.Subscription) ([]string, bool) {
 	if hi < lo {
 		return nil, false
 	}
-	loCell := cellOf(lo, r.cfg.CellWidth)
-	hiCell := cellOf(hi, r.cfg.CellWidth)
-	if hiCell-loCell+1 > int64(r.cfg.MaxCells) {
+	loCell, hiCell := cellOf(lo), cellOf(hi)
+	if hiCell-loCell+1 > maxCells {
 		return nil, false // spans too much of the space: flood instead
 	}
 	v := r.getView()
@@ -195,7 +182,7 @@ func (r *Router) Targets(sub subscription.Subscription) ([]string, bool) {
 		return nil, false // routing needs somewhere to route to
 	}
 	var targets []string
-	seen := make(map[string]bool, r.cfg.MaxCells)
+	seen := make(map[string]bool, maxCells)
 	for c := loCell; c <= hiCell; c++ {
 		owner := hrwOwner(c, v.alive)
 		if !seen[owner] {
@@ -218,7 +205,7 @@ func (r *Router) PubTarget(pub subscription.Publication) (string, bool) {
 	if len(v.alive) < 2 {
 		return "", false
 	}
-	return hrwOwner(cellOf(pub.Values[0], r.cfg.CellWidth), v.alive), true
+	return hrwOwner(cellOf(pub.Values[0]), v.alive), true
 }
 
 // NextHop implements broker.Router: the live linked member strictly
@@ -266,9 +253,9 @@ func (r *Router) kick() {
 
 // cellOf returns the cell index containing v (floor division, exact
 // for negatives).
-func cellOf(v, width int64) int64 {
-	q := v / width
-	if v%width != 0 && v < 0 {
+func cellOf(v int64) int64 {
+	q := v / cellWidth
+	if v%cellWidth != 0 && v < 0 {
 		q--
 	}
 	return q
@@ -295,9 +282,8 @@ func hrwOwner(cell int64, ids []string) string {
 // oracle form of the mapping for harnesses that must know the owner
 // without running a node (e.g. the chaos kill-the-rendezvous
 // schedule).
-func RendezvousOwner(v int64, cfg RouterConfig, ids []string) string {
-	cfg = cfg.withDefaults()
-	return hrwOwner(cellOf(v, cfg.CellWidth), ids)
+func RendezvousOwner(v int64, ids []string) string {
+	return hrwOwner(cellOf(v), ids)
 }
 
 // mix64 is the splitmix64 finalizer: a full-avalanche bijection.

@@ -1,15 +1,16 @@
 // Package scale is a deterministic membership-at-scale harness: it
-// runs hundreds to thousands of cluster.Node instances over a pure
-// in-memory frame router (no brokers, no sockets, no goroutines) and
+// runs hundreds to thousands of brokers, each with its cluster.Node,
+// on the internal/simnet simulator (one goroutine, no sockets) and
 // measures what the paper's evaluation cares about at that size —
 // how many protocol rounds a sparse overlay needs before every node
-// sees every member alive, and how many gossip bytes per member per
-// round the steady state costs once it has.
+// sees every member alive, how many gossip bytes per member per round
+// the steady state costs once it has, and how many subscription frames
+// per link the content layer pays, flooded or routed.
 //
 // The overlay is a ring plus a few pseudo-random chord links per node
 // (a small-world graph: O(log n) diameter at constant degree), the
-// clock is a manual variable advanced one PingEvery per round, and
-// every random choice derives from Config.Seed — the same seed always
+// clock is a simnet.Clock advanced one PingEvery per round, and every
+// random choice derives from Config.Seed — the same seed always
 // produces the same round-by-round trace, which is what lets CI gate
 // on the numbers.
 package scale
@@ -21,6 +22,7 @@ import (
 
 	"probsum/internal/broker"
 	"probsum/internal/interval"
+	"probsum/internal/simnet"
 	"probsum/internal/store"
 	"probsum/internal/subscription"
 	"probsum/pubsub/cluster"
@@ -125,114 +127,35 @@ type Report struct {
 	// seed must agree on both — the delivery-equivalence gate.
 	Deliveries   int
 	DeliveryHash uint64
-	// FramesByKind counts every frame the router carried over the whole
-	// run, keyed by wire kind name — the per-kind traffic profile the
-	// observability layer exposes per link on real transports, summed
-	// across the simulated overlay here.
+	// SyncRequests sums the digest-repair exchanges brokers started
+	// over the run, and DigestMismatches counts the directed overlay
+	// links whose sender and receiver digests disagree after the
+	// gossip rounds that follow the content phase. Both are zero when
+	// every announcement reached its link's far end exactly as sent.
+	SyncRequests     int
+	DigestMismatches int
+	// FramesByKind counts every frame brokers sent through the
+	// convergence, steady and content phases, keyed by wire kind
+	// name — the per-kind traffic profile the observability layer
+	// exposes per link on real transports, summed across the
+	// simulated overlay here.
 	FramesByKind map[string]uint64
 }
 
-// frame is one in-flight control message.
-type frame struct {
-	from, to string
-	msg      broker.Message
-}
+// digestRounds is how many gossip rounds follow the content phase so
+// link digests ride gossip over the final subscription state.
+const digestRounds = 5
 
-// harness owns the nodes and the frame router. Everything is
-// single-threaded: Tick and HandleControl run on the caller's
-// goroutine, sends append to the queue, and the round loop drains it
-// to empty (delta budgets guarantee the drain terminates).
+// harness is one run's simulated overlay: the network, its clock,
+// and the membership node of every broker, driven single-threaded by
+// cluster.SimStep.
 type harness struct {
-	ids     []string
-	nodes   []*cluster.Node
-	brokers []*broker.Broker
-	index   map[string]int
-	queue   []frame
-	now     time.Time
-	err     error // first broker error; deliver stops on it
-
-	subFrames    uint64
-	deliveries   int
-	deliveryHash uint64
-	framesByKind map[string]uint64
-}
-
-// link adapts one harness slot to cluster.Link. Connects succeed
-// inline (the graph has no partitions — this harness measures cost,
-// not healing, which the chaos and partition suites cover).
-type link struct {
-	h  *harness
-	id string
-}
-
-func (l *link) Self() string { return l.id }
-
-func (l *link) Send(peer string, msg broker.Message) bool {
-	l.h.queue = append(l.h.queue, frame{l.id, peer, msg})
-	return true
-}
-
-func (l *link) Connect(peer, addr string, done func(established bool, err error)) {
-	done(true, nil)
-}
-
-func (l *link) Roots(peer string) []broker.BatchSub          { return nil }
-func (l *link) ClusterCapable(peer string) bool              { return true }
-func (l *link) SyncOnConnect() bool                          { return true }
-func (l *link) Digest(peer string) (broker.LinkDigest, bool) { return broker.LinkDigest{}, false }
-
-// deliver drains the frame queue to empty, routing every reply. FIFO
-// order keeps runs reproducible. Control frames dispatch to the
-// destination's membership node, broker frames to its broker, and
-// frames addressed to a client port are terminal deliveries.
-func (h *harness) deliver() {
-	for len(h.queue) > 0 && h.err == nil {
-		f := h.queue[0]
-		h.queue = h.queue[1:]
-		h.framesByKind[f.msg.Kind.String()]++
-		i, ok := h.index[f.to]
-		if !ok {
-			// A client port: record the notification and stop routing.
-			if f.msg.Kind == broker.MsgNotify {
-				h.deliveries++
-				h.deliveryHash ^= hash64(f.to + "|" + f.msg.SubID + "|" + f.msg.PubID)
-			}
-			continue
-		}
-		if f.msg.Kind.IsControl() {
-			for _, out := range h.nodes[i].HandleControl(f.from, f.msg) {
-				h.queue = append(h.queue, frame{f.to, out.To, out.Msg})
-			}
-			continue
-		}
-		switch f.msg.Kind {
-		case broker.MsgSubscribe, broker.MsgSubscribeBatch, broker.MsgRouteAnnounce:
-			h.subFrames++
-		}
-		outs, err := h.brokers[i].Handle(f.from, f.msg)
-		if err != nil {
-			h.err = fmt.Errorf("scale: %s handling %v from %s: %w", f.to, f.msg.Kind, f.from, err)
-			return
-		}
-		for _, out := range outs {
-			h.queue = append(h.queue, frame{f.to, out.To, out.Msg})
-		}
-	}
-	h.queue = nil // release the grown backing array between rounds
-}
-
-// inject runs one client-originated message through broker i and
-// drains everything it causes.
-func (h *harness) inject(i int, msg broker.Message) {
-	outs, err := h.brokers[i].Handle("c-"+h.ids[i], msg)
-	if err != nil {
-		h.err = fmt.Errorf("scale: %s injecting %v: %w", h.ids[i], msg.Kind, err)
-		return
-	}
-	for _, out := range outs {
-		h.queue = append(h.queue, frame{h.ids[i], out.To, out.Msg})
-	}
-	h.deliver()
+	net   *simnet.Network
+	clock *simnet.Clock
+	ids   []string
+	nodes map[string]*cluster.Node
+	// edges holds each undirected overlay link once, as a sorted pair.
+	edges map[[2]string]bool
 }
 
 // hash64 is FNV-1a with an avalanche tail, for order-independent
@@ -275,6 +198,27 @@ func (h *harness) totals() (bytes, fullGossip, deltaFrames uint64) {
 	return
 }
 
+// subFrames sums the subscription-announcement kinds of a per-kind
+// send count.
+func subFrames(sent map[broker.MsgKind]uint64) uint64 {
+	return sent[broker.MsgSubscribe] + sent[broker.MsgSubscribeBatch] + sent[broker.MsgRouteAnnounce]
+}
+
+// digestMismatches counts the directed overlay links whose sender
+// digest differs from what the receiver recorded.
+func (h *harness) digestMismatches() int {
+	bad := 0
+	for l := range h.edges {
+		for _, dir := range [][2]string{{l[0], l[1]}, {l[1], l[0]}} {
+			sent, ok := h.net.Broker(dir[0]).LinkDigest(dir[1])
+			if !ok || sent != h.net.Broker(dir[1]).ReceivedDigest(dir[0]) {
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
 // Run executes one scale experiment.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
@@ -283,13 +227,12 @@ func Run(cfg Config) (Report, error) {
 	}
 	const pingEvery = time.Second
 	h := &harness{
-		ids:          make([]string, cfg.N),
-		nodes:        make([]*cluster.Node, cfg.N),
-		index:        make(map[string]int, cfg.N),
-		now:          time.Unix(0, 0),
-		framesByKind: make(map[string]uint64),
+		net:   simnet.New(),
+		clock: simnet.NewClock(),
+		ids:   make([]string, cfg.N),
+		nodes: make(map[string]*cluster.Node, cfg.N),
+		edges: make(map[[2]string]bool),
 	}
-	clock := func() time.Time { return h.now }
 	ncfg := cluster.Config{
 		PingEvery:     pingEvery,
 		GossipEvery:   pingEvery,
@@ -298,23 +241,24 @@ func Run(cfg Config) (Report, error) {
 		ReconnectMin:  pingEvery,
 		ReconnectMax:  4 * pingEvery,
 		Seed:          cfg.Seed,
-		Clock:         clock,
 		LegacyGossip:  cfg.LegacyGossip,
 	}
-	h.brokers = make([]*broker.Broker, cfg.N)
-	for i := range h.nodes {
+	for i := range h.ids {
 		id := fmt.Sprintf("b%04d", i)
 		h.ids[i] = id
-		h.index[id] = i
-		h.nodes[i] = cluster.NewNode(cluster.Member{ID: id, Addr: id}, &link{h: h, id: id}, ncfg)
-		b, err := broker.New(id, store.PolicyPairwise)
+		if err := h.net.AddBroker(id, store.PolicyPairwise); err != nil {
+			return Report{}, err
+		}
+		n, err := cluster.NewSimNode(h.net, id, h.clock, ncfg)
 		if err != nil {
 			return Report{}, err
 		}
-		h.brokers[i] = b
-		b.AttachClient("c-" + id)
+		h.nodes[id] = n
+		if err := h.net.AttachClient("c-"+id, id); err != nil {
+			return Report{}, err
+		}
 		if cfg.Routed {
-			cluster.AttachRouter(h.nodes[i], b, cluster.RouterConfig{})
+			cluster.AttachRouter(n, h.net.Broker(id))
 		}
 	}
 
@@ -326,14 +270,13 @@ func Run(cfg Config) (Report, error) {
 		if i == j {
 			return false
 		}
-		h.nodes[i].AddMember(cluster.Member{ID: h.ids[j], Addr: h.ids[j]}, true)
-		h.nodes[j].AddMember(cluster.Member{ID: h.ids[i], Addr: h.ids[i]}, true)
-		if err := h.brokers[i].ConnectNeighbor(h.ids[j]); err != nil {
+		a, b := h.ids[i], h.ids[j]
+		h.nodes[a].AddMember(cluster.Member{ID: b, Addr: b}, true)
+		h.nodes[b].AddMember(cluster.Member{ID: a, Addr: a}, true)
+		if err := h.net.Connect(a, b); err != nil {
 			return false
 		}
-		if err := h.brokers[j].ConnectNeighbor(h.ids[i]); err != nil {
-			return false
-		}
+		h.edges[[2]string{min(a, b), max(a, b)}] = true
 		degree[i]++
 		degree[j]++
 		return true
@@ -353,14 +296,6 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 
-	round := func() {
-		h.now = h.now.Add(pingEvery)
-		for _, n := range h.nodes {
-			n.Tick()
-		}
-		h.deliver()
-	}
-
 	rep := Report{N: cfg.N, Links: links}
 	for _, d := range degree {
 		rep.MaxDegree = max(rep.MaxDegree, d)
@@ -371,7 +306,9 @@ func Run(cfg Config) (Report, error) {
 		if rep.ConvergedRound > cfg.MaxRounds {
 			return rep, fmt.Errorf("scale: n=%d not converged after %d rounds", cfg.N, cfg.MaxRounds)
 		}
-		round()
+		if err := cluster.SimStep(h.net, h.clock, h.ids, h.nodes, pingEvery, 1); err != nil {
+			return rep, fmt.Errorf("scale: %w", err)
+		}
 		if h.converged() {
 			break
 		}
@@ -381,7 +318,9 @@ func Run(cfg Config) (Report, error) {
 	// Phase 2: steady-state measurement window.
 	bytes0, full0, delta0 := h.totals()
 	for r := 0; r < cfg.SteadyRounds; r++ {
-		round()
+		if err := cluster.SimStep(h.net, h.clock, h.ids, h.nodes, pingEvery, 1); err != nil {
+			return rep, fmt.Errorf("scale: %w", err)
+		}
 	}
 	bytes1, full1, delta1 := h.totals()
 	rep.SteadyBytesPerMemberRound = float64(bytes1-bytes0) / float64(cfg.N*cfg.SteadyRounds)
@@ -393,42 +332,63 @@ func Run(cfg Config) (Report, error) {
 	// converged overlay (every draw comes from the same seeded stream,
 	// so a routed and a flood run issue identical operations), count
 	// the announcement frames they cost, then probe with publications
-	// and fold the delivery set.
+	// and fold the delivery set. Gossip rounds then carry every link's
+	// digest over the final state: any repair they start, or any
+	// digest still off after them, is a lost or stray announcement.
+	sent := h.net.SentByKind()
 	if cfg.Subs > 0 {
 		type subRec struct{ lo, hi int64 }
 		subs := make([]subRec, cfg.Subs)
-		frames0 := h.subFrames
 		for k := range subs {
-			origin := rng.IntN(cfg.N)
+			origin := h.ids[rng.IntN(cfg.N)]
 			lo := int64(rng.IntN(4000))
 			width := int64(16 + rng.IntN(112))
 			subs[k] = subRec{lo, lo + width}
 			s := subscription.New(interval.New(lo, lo+width), interval.New(lo, lo+width))
-			h.inject(origin, broker.Message{Kind: broker.MsgSubscribe, SubID: fmt.Sprintf("s%05d", k), Sub: s})
-			if h.err != nil {
-				return rep, h.err
+			if err := h.net.ClientSubscribe("c-"+origin, fmt.Sprintf("s%05d", k), s); err != nil {
+				return rep, err
+			}
+			if _, err := h.net.Run(); err != nil {
+				return rep, fmt.Errorf("scale: %w", err)
 			}
 		}
-		rep.SubFrames = h.subFrames - frames0
+		rep.SubFrames = subFrames(h.net.SentByKind()) - subFrames(sent)
 		rep.SubFramesPerLink = float64(rep.SubFrames) / float64(2*links)
-		for _, b := range h.brokers {
-			t, e := b.RouteTableStats()
+		for _, id := range h.ids {
+			t, e := h.net.Broker(id).RouteTableStats()
 			rep.RouteTables += t
 			rep.RouteEntries += e
 		}
 		for k := 0; k < cfg.Pubs; k++ {
 			sr := subs[k%len(subs)]
 			mid := (sr.lo + sr.hi) / 2
-			origin := rng.IntN(cfg.N)
-			h.inject(origin, broker.Message{Kind: broker.MsgPublish, PubID: fmt.Sprintf("p%05d", k),
-				Pub: subscription.NewPublication(mid, mid)})
-			if h.err != nil {
-				return rep, h.err
+			origin := h.ids[rng.IntN(cfg.N)]
+			if err := h.net.ClientPublish("c-"+origin, fmt.Sprintf("p%05d", k), subscription.NewPublication(mid, mid)); err != nil {
+				return rep, err
+			}
+			if _, err := h.net.Run(); err != nil {
+				return rep, fmt.Errorf("scale: %w", err)
 			}
 		}
-		rep.Deliveries = h.deliveries
-		rep.DeliveryHash = h.deliveryHash
+		for _, id := range h.ids {
+			for _, m := range h.net.DeliveredSince("c-"+id, 0) {
+				if m.Kind == broker.MsgNotify {
+					rep.Deliveries++
+					rep.DeliveryHash ^= hash64("c-" + id + "|" + m.SubID + "|" + m.PubID)
+				}
+			}
+		}
+		sent = h.net.SentByKind()
+
+		if err := cluster.SimStep(h.net, h.clock, h.ids, h.nodes, pingEvery, digestRounds); err != nil {
+			return rep, fmt.Errorf("scale: %w", err)
+		}
+		rep.SyncRequests = h.net.TotalMetrics().SyncRequests
+		rep.DigestMismatches = h.digestMismatches()
 	}
-	rep.FramesByKind = h.framesByKind
+	rep.FramesByKind = make(map[string]uint64, len(sent))
+	for kind, count := range sent {
+		rep.FramesByKind[kind.String()] = count
+	}
 	return rep, nil
 }

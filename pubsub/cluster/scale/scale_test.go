@@ -58,7 +58,8 @@ func TestScaleDeterministic(t *testing.T) {
 // the same size, seed, and operation schedule, routed subscriptions
 // cost measurably fewer announcement frames per link than flooding —
 // while delivering exactly the same notifications to exactly the same
-// clients (the flood run is the delivery oracle). Sized at n=200 with
+// clients (the flood run is the delivery oracle) and leaving every
+// link digest consistent. Sized at n=200 with
 // enough subscriptions for coverage suppression to bite: this exact
 // configuration caught the cycle-gradient delivery loss fixed by
 // Broker.recordDupPathLocked, so it stays the regression net for it.
@@ -87,6 +88,18 @@ func TestScaleRoutedBeatsFlood(t *testing.T) {
 	if routed.SubFramesPerLink*2 > flood.SubFramesPerLink {
 		t.Fatalf("routed sub frames/link %.2f not at least 2x below flood %.2f",
 			routed.SubFramesPerLink, flood.SubFramesPerLink)
+	}
+	// Gossip after the content phase carries every link digest: a
+	// lost or stray announcement shows up as a sync request or as a
+	// digest still off afterwards.
+	for _, rep := range []struct {
+		mode string
+		Report
+	}{{"flood", flood}, {"routed", routed}} {
+		if rep.SyncRequests != 0 || rep.DigestMismatches != 0 {
+			t.Errorf("%s run: %d sync requests, %d link digest mismatches after the content phase, want 0 and 0",
+				rep.mode, rep.SyncRequests, rep.DigestMismatches)
+		}
 	}
 }
 

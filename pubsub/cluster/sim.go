@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"probsum/internal/broker"
 	"probsum/internal/simnet"
@@ -83,4 +84,23 @@ func NewSimNode(net *simnet.Network, id string, clock *simnet.Clock, cfg Config)
 	n := NewNode(Member{ID: id, Addr: id, Incarnation: cfg.Incarnation}, &simLink{net: net, id: id}, cfg)
 	b.SetControlHandler(n.HandleControl)
 	return n, nil
+}
+
+// SimStep drives simulated membership nodes ticks times: each step
+// advances the clock by d, ticks the node of every broker in ids, in
+// that order, skipping brokers that are crashed (dead processes do not
+// tick), and runs the network to quiescence.
+func SimStep(net *simnet.Network, clock *simnet.Clock, ids []string, nodes map[string]*Node, d time.Duration, ticks int) error {
+	for i := 0; i < ticks; i++ {
+		clock.Advance(d)
+		for _, id := range ids {
+			if !net.Crashed(id) {
+				nodes[id].Tick()
+			}
+		}
+		if _, err := net.Run(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

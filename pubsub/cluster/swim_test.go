@@ -64,19 +64,6 @@ func swimTriangle(t *testing.T, mutate func(*Config)) (*simnet.Network, *simnet.
 	return net, clock, nodes, ids
 }
 
-func stepNodes(t *testing.T, net *simnet.Network, clock *simnet.Clock, nodes map[string]*Node, ids []string, d time.Duration, ticks int) {
-	t.Helper()
-	for i := 0; i < ticks; i++ {
-		clock.Advance(d)
-		for _, id := range ids {
-			nodes[id].Tick()
-		}
-		if _, err := net.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestIndirectProbeKeepsMemberAlive pins SWIM's core robustness win:
 // when only the B1–B2 path breaks, B1's direct pings go unanswered but
 // the PING-REQ relay through B3 vouches for B2, so B2 never turns
@@ -89,7 +76,9 @@ func stepNodes(t *testing.T, net *simnet.Network, clock *simnet.Clock, nodes map
 // broken.
 func TestIndirectProbeKeepsMemberAlive(t *testing.T) {
 	net, clock, nodes, ids := swimTriangle(t, nil)
-	stepNodes(t, net, clock, nodes, ids, 250*time.Millisecond, 8)
+	if err := SimStep(net, clock, ids, nodes, 250*time.Millisecond, 8); err != nil {
+		t.Fatal(err)
+	}
 	for _, pair := range [][2]string{{"B1", "B2"}, {"B2", "B1"}, {"B1", "B3"}, {"B3", "B2"}} {
 		if m, _ := nodes[pair[0]].Member(pair[1]); m.State != StateAlive {
 			t.Fatalf("after assembly %s sees %s as %v", pair[0], pair[1], m.State)
@@ -99,7 +88,9 @@ func TestIndirectProbeKeepsMemberAlive(t *testing.T) {
 	// Cut only the direct B1–B2 path; both ends keep a live path
 	// through B3. Far longer than DeadAfter.
 	net.SetLink("B1", "B2", false)
-	stepNodes(t, net, clock, nodes, ids, 250*time.Millisecond, 40)
+	if err := SimStep(net, clock, ids, nodes, 250*time.Millisecond, 40); err != nil {
+		t.Fatal(err)
+	}
 
 	if m, _ := nodes["B1"].Member("B2"); m.State != StateAlive || m.Incarnation != 1 {
 		t.Fatalf("B1 sees B2 as %v@%d despite a live relay path, want alive@1", m.State, m.Incarnation)
@@ -125,9 +116,13 @@ func TestIndirectProbeKeepsMemberAlive(t *testing.T) {
 	// the suspect/refute cycle — suspicion transitions and inflated
 	// incarnations — which is exactly what the relays prevented above.
 	netC, clockC, nodesC, idsC := swimTriangle(t, func(c *Config) { c.IndirectRelays = -1 })
-	stepNodes(t, netC, clockC, nodesC, idsC, 250*time.Millisecond, 8)
+	if err := SimStep(netC, clockC, idsC, nodesC, 250*time.Millisecond, 8); err != nil {
+		t.Fatal(err)
+	}
 	netC.SetLink("B1", "B2", false)
-	stepNodes(t, netC, clockC, nodesC, idsC, 250*time.Millisecond, 40)
+	if err := SimStep(netC, clockC, idsC, nodesC, 250*time.Millisecond, 40); err != nil {
+		t.Fatal(err)
+	}
 	mc := nodesC["B1"].Metrics()
 	m, _ := nodesC["B1"].Member("B2")
 	if mc.Suspects == 0 || m.Incarnation <= 1 {
@@ -182,7 +177,9 @@ func swimChurn(t *testing.T, legacy bool) (map[string]map[string]State, map[stri
 		}
 	}
 	step := func(ticks int) {
-		stepNodes(t, net, clock, nodes, ids, 250*time.Millisecond, ticks)
+		if err := SimStep(net, clock, ids, nodes, 250*time.Millisecond, ticks); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	step(8) // assemble

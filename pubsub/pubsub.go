@@ -130,15 +130,6 @@ type Config struct {
 	// broker-to-broker links (default 0), modeling the lossy sensor
 	// and MANET environments the paper targets.
 	DropRate, DupRate float64
-	// DisableCandidatePruning turns off the per-attribute candidate
-	// index in every broker coverage table, handing the full forwarded
-	// set to each coverage decision. Exists for ablation measurements.
-	// Pruning never changes which sets cover which subscriptions
-	// (dropped rows are disjoint from the tested one), but the
-	// probabilistic checker sees a smaller conflict table, so
-	// individual borderline decisions may fall on the other side of
-	// the same δ-bounded contract.
-	DisableCandidatePruning bool
 }
 
 func (c Config) withDefaults() Config {
@@ -161,14 +152,10 @@ func (c Config) withDefaults() Config {
 // a standalone subsume.Table can share a network's tuning.
 func (c Config) TableOptions() []subsume.TableOption {
 	c = c.withDefaults()
-	opts := []subsume.TableOption{
+	return []subsume.TableOption{
 		subsume.WithTableChecker(
 			subsume.WithErrorProbability(c.ErrorProbability),
 			subsume.WithMaxTrials(c.MaxTrials),
 		),
 	}
-	if c.DisableCandidatePruning {
-		opts = append(opts, subsume.WithTableCandidatePruning(false))
-	}
-	return opts
 }

@@ -98,14 +98,12 @@ var ErrDuplicateID = store.ErrDuplicateID
 type TableOption func(*tableConfig)
 
 type tableConfig struct {
-	shards       int
-	seed         uint64
-	copts        []core.Option
-	reversePrune bool
-	pruning      bool
-	schema       *Schema
-	router       Router
-	rendezvous   bool
+	shards     int
+	seed       uint64
+	copts      []core.Option
+	schema     *Schema
+	router     Router
+	rendezvous bool
 }
 
 // Router maps a subscription to a shard-selection hash — under the
@@ -137,19 +135,6 @@ func WithTableSeed(seed uint64) TableOption {
 // WithMaxTrials, …) applied to every per-shard checker under Group.
 func WithTableChecker(opts ...Option) TableOption {
 	return func(c *tableConfig) { c.copts = append(c.copts, opts...) }
-}
-
-// WithTableReversePrune enables demoting existing active subscriptions
-// that an arrival covers (the Section 4.4 multi-level forest). With
-// more than one shard, demotion scans only the arrival's home shard.
-func WithTableReversePrune(enabled bool) TableOption {
-	return func(c *tableConfig) { c.reversePrune = enabled }
-}
-
-// WithTableCandidatePruning toggles the per-attribute candidate index
-// in every shard (default on).
-func WithTableCandidatePruning(enabled bool) TableOption {
-	return func(c *tableConfig) { c.pruning = enabled }
 }
 
 // WithTableSchema makes shard routing schema-aware: the dominant
@@ -199,15 +184,13 @@ func NewTable(policy Policy, opts ...TableOption) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := tableConfig{shards: 1, seed: 1, pruning: true}
+	cfg := tableConfig{shards: 1, seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	sopts := []store.ShardedOption{
 		store.WithShards(cfg.shards),
 		store.WithShardSeed(cfg.seed),
-		store.WithShardReversePrune(cfg.reversePrune),
-		store.WithShardCandidatePruning(cfg.pruning),
 	}
 	if len(cfg.copts) > 0 {
 		sopts = append(sopts, store.WithShardCheckerOptions(cfg.copts...))
