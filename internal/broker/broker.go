@@ -16,6 +16,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -397,6 +398,13 @@ type Broker struct {
 	neighbors map[string]bool
 	// +guarded_by:mu
 	clients map[string]bool
+	// neighborList and clientList hold the same names in sorted order,
+	// so the publish path fans out deterministically without sorting.
+	// Each update installs a fresh slice.
+	// +guarded_by:mu
+	neighborList []string
+	// +guarded_by:mu
+	clientList []string
 
 	// out holds one coverage table per neighbor: the subscriptions this
 	// broker has forwarded to that neighbor, reduced under the policy.
@@ -678,14 +686,20 @@ func (b *Broker) dedupSize() int { return b.seenPubs.size() }
 func (b *Broker) Neighbors() []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return sortedKeys(b.neighbors)
+	return slices.Clone(b.neighborList)
 }
 
 // Clients returns the attached client ports, sorted.
 func (b *Broker) Clients() []string {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return sortedKeys(b.clients)
+	return slices.Clone(b.clientList)
+}
+
+// withSorted returns a copy of the sorted list with name inserted.
+func withSorted(list []string, name string) []string {
+	i, _ := slices.BinarySearch(list, name)
+	return slices.Insert(slices.Clone(list), i, name)
 }
 
 func sortedKeys(set map[string]bool) []string {
@@ -774,6 +788,7 @@ func (b *Broker) ConnectNeighbor(id string) error {
 		}
 	}
 	b.neighbors[id] = true
+	b.neighborList = withSorted(b.neighborList, id)
 	b.out[id] = tbl
 	if j := b.journal.Load(); j != nil {
 		(*j).RecordAttach(id, false)
@@ -789,6 +804,9 @@ func (b *Broker) AttachClient(id string) {
 	defer b.mu.Unlock()
 	fresh := !b.clients[id]
 	b.clients[id] = true
+	if fresh {
+		b.clientList = withSorted(b.clientList, id)
+	}
 	if b.in[id] == nil {
 		b.in[id] = make(map[string]subscription.Subscription)
 	}
@@ -950,7 +968,7 @@ func (b *Broker) handleSubscribe(from string, msg Message) ([]Outbound, error) {
 		return outs, err
 	}
 	var out []Outbound
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from {
 			continue
 		}
@@ -1064,7 +1082,7 @@ func (b *Broker) handleUnsubscribe(from string, msg Message) ([]Outbound, error)
 	if err != nil {
 		return nil, err
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from {
 			continue
 		}
@@ -1159,7 +1177,7 @@ func (b *Broker) handleSubscribeBatch(from string, msg Message) ([]Outbound, err
 		ids[i] = b.outIDs[it.SubID]
 		subs[i] = it.Sub
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from {
 			continue
 		}
@@ -1228,7 +1246,7 @@ func (b *Broker) handleUnsubscribeBatch(from string, msg Message) ([]Outbound, e
 		}
 		out = append(out, o...)
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from {
 			continue
 		}
@@ -1303,7 +1321,7 @@ func (b *Broker) handlePublishBatchMsg(from string, msg Message) ([]Outbound, er
 			}
 		}
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if batch := fwd[n]; len(batch) > 0 {
 			out = append(out, Outbound{To: n, Msg: Message{Kind: MsgPublishBatch, Pubs: batch}})
 		}
@@ -1365,7 +1383,7 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	// Deliver to local clients whose subscriptions match. The per-port
 	// interval-tree matcher answers in O(m log k + hits) instead of
 	// scanning the port's reverse-path table linearly.
-	for _, c := range sortedKeys(b.clients) {
+	for _, c := range b.clientList {
 		if c == from {
 			continue
 		}
@@ -1389,7 +1407,7 @@ func (b *Broker) handlePublish(from string, msg Message) ([]Outbound, error) {
 	}
 	// Reverse-path forwarding: send to every neighbor that announced a
 	// matching subscription.
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from {
 			continue
 		}

@@ -98,10 +98,10 @@ func (b *Broker) SnapshotOps() []SnapshotOp {
 // +mustlock:mu (shared)
 func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	var ops []SnapshotOp
-	for _, c := range sortedKeys(b.clients) {
+	for _, c := range b.clientList {
 		ops = append(ops, SnapshotOp{Attach: true, Client: true, Port: c})
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		ops = append(ops, SnapshotOp{Attach: true, Port: n})
 	}
 	// Subscriptions in ascending numeric-ID order — admission order —
@@ -125,7 +125,7 @@ func (b *Broker) snapshotOpsLocked() []SnapshotOp {
 	// Duplicate receptions: copies that arrived over non-source links
 	// still count toward those links' digests. Synthesized as
 	// subscribes that replay down the duplicate path.
-	for _, port := range sortedKeys(b.neighbors) {
+	for _, port := range b.neighborList {
 		set := b.recv[port]
 		if len(set) == 0 {
 			continue

@@ -333,7 +333,7 @@ func (b *Broker) handleRouteAnnounce(from string, msg Message) ([]Outbound, erro
 // +mustlock:mu
 func (b *Broker) floodRoutedLocked(from string, items []BatchSub) ([]Outbound, error) {
 	var out []Outbound
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from {
 			continue
 		}
@@ -471,7 +471,7 @@ func (b *Broker) routePublishLocked(from string, msg Message, out []Outbound) []
 		}
 		return out
 	}
-	for _, n := range sortedKeys(b.neighbors) {
+	for _, n := range b.neighborList {
 		if n == from || sentTo(n) {
 			continue
 		}

@@ -1,7 +1,7 @@
 package match
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"probsum/internal/interval"
@@ -15,17 +15,27 @@ import (
 // between changes — the broker regime, where publications far
 // outnumber subscription churn.
 //
-// Unlike CountingIndex it needs no schema, yet it keeps the counting
-// algorithm's trivial-predicate optimization by inferring a
-// pseudo-domain: per attribute, the HULL of the indexed predicates. A
-// predicate spanning the whole hull is satisfied by every point any
-// predicate on that attribute can accept, so it is exact to leave it
-// un-indexed and count it as pre-satisfied — provided the query value
-// lies inside the hull; a value outside the hull is outside every
-// predicate on that attribute (all are within the hull), so the whole
-// bucket misses. On realistic workloads most predicates are the
-// unconstrained full domain, which the hull test recovers without
-// being told the domain.
+// Matching is selective rather than counting: a publication stabs the
+// tree of ONE attribute — the one whose predicates contain the value
+// least often — and checks each candidate against every attribute.
+// Every subscription constrains every attribute, so each match is
+// among that attribute's hits, and the answer is exact. How many
+// predicates contain v is known before any stab: with the attribute's
+// predicate bounds kept sorted, it is #(Lo ≤ v) − #(Hi < v), two
+// binary searches. The cost per publication is O(m·log k) to pick the
+// attribute plus O(m) per candidate, instead of touching every hit on
+// every attribute.
+//
+// The index needs no schema, yet it keeps the counting algorithm's
+// trivial-predicate optimization by inferring a pseudo-domain: per
+// attribute, the HULL of the indexed predicates. A predicate spanning
+// the whole hull contains every point any predicate on that attribute
+// can accept, so it stays out of the tree and is listed once per
+// attribute instead; a value inside the hull lies in all of them, and
+// a value outside the hull is outside every predicate on that
+// attribute (all are within the hull), so the whole bucket misses. On
+// realistic workloads most predicates are the unconstrained full
+// domain, which the hull test recovers without being told the domain.
 //
 // Subscriptions are bucketed by attribute count, so sets fed from
 // mixed schemas stay matchable: a publication consults only the
@@ -33,13 +43,13 @@ import (
 // (which rejects on length mismatch).
 //
 // All methods are safe for concurrent use. Match and MatchAny run in
-// parallel with each other: a bucket's tree structure is immutable
-// after its rebuild, and the counting-stab scratch is drawn from a
-// per-bucket pool, so concurrent stabs never share state. Add and
-// Remove only mark the index dirty under the write lock; the rebuild
-// itself happens inside whichever Match observes the dirty flag
-// first, with later readers either waiting on the lock or stabbing
-// the previous (still-valid) generation they already hold.
+// parallel with each other: a bucket is immutable after its rebuild
+// and a match keeps no scratch state, so concurrent stabs share
+// nothing mutable. Add and Remove only mark the index dirty under the
+// write lock; the rebuild itself happens inside whichever Match
+// observes the dirty flag first, with later readers either waiting on
+// the lock or stabbing the previous (still-valid) generation they
+// already hold.
 type ITreeIndex struct {
 	mu      sync.RWMutex
 	subs    map[ID]subscription.Subscription
@@ -47,24 +57,16 @@ type ITreeIndex struct {
 	buckets map[int]*itreeBucket
 }
 
-// itreeBucket matches subscriptions of one attribute count. Every
-// field except the scratch pool is immutable once the rebuild that
-// created the bucket returns.
+// itreeBucket matches subscriptions of one attribute count m. It is
+// immutable once the rebuild that created it returns.
 type itreeBucket struct {
-	ids      []ID
-	hulls    []interval.Interval // per-attribute hull of all predicates
-	trees    []*itreeNode        // non-hull-spanning predicates only
-	required []int               // indexed-predicate count per position
-	matchAll []int               // positions with zero indexed predicates
-	scratch  sync.Pool           // *stabScratch sized for this bucket
-}
-
-// stabScratch is the per-call state of the counting stab loop.
-type stabScratch struct {
-	counts []int
-	stamp  []uint32
-	epoch  uint32
-	hits   []int
+	ids    []ID
+	hulls  []interval.Interval // per-attribute hull of all predicates
+	trees  []*itreeNode        // per attribute: predicates not spanning the hull
+	los    [][]int64           // per attribute: the tree's Lo bounds, sorted
+	his    [][]int64           // per attribute: the tree's Hi bounds, sorted
+	spans  [][]int             // per attribute: positions spanning the hull
+	bounds []interval.Interval // bounds[pos*m+a]: position pos's predicate on a
 }
 
 var _ Matcher = (*ITreeIndex)(nil)
@@ -108,7 +110,7 @@ func (x *ITreeIndex) rebuild() {
 	for id := range x.subs {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		s := x.subs[id]
 		if !s.IsSatisfiable() {
@@ -118,13 +120,14 @@ func (x *ITreeIndex) rebuild() {
 		m := s.Len()
 		bkt := x.buckets[m]
 		if bkt == nil {
-			bkt = &itreeBucket{trees: make([]*itreeNode, m)}
+			bkt = &itreeBucket{}
 			x.buckets[m] = bkt
 		}
 		bkt.ids = append(bkt.ids, id)
 	}
 	for m, bkt := range x.buckets {
 		bkt.hulls = make([]interval.Interval, m)
+		bkt.bounds = make([]interval.Interval, 0, m*len(bkt.ids))
 		for i, id := range bkt.ids {
 			for a, b := range x.subs[id].Bounds {
 				if i == 0 {
@@ -133,27 +136,30 @@ func (x *ITreeIndex) rebuild() {
 					bkt.hulls[a] = bkt.hulls[a].Hull(b)
 				}
 			}
+			bkt.bounds = append(bkt.bounds, x.subs[id].Bounds...)
 		}
 		perAttr := make([][]entry, m)
-		bkt.required = make([]int, len(bkt.ids))
-		for pos, id := range bkt.ids {
-			for a, b := range x.subs[id].Bounds {
+		bkt.spans = make([][]int, m)
+		for pos := range bkt.ids {
+			for a, b := range bkt.bounds[pos*m : pos*m+m] {
 				if b.ContainsInterval(bkt.hulls[a]) {
-					continue // hull-spanning: pre-satisfied inside the hull
+					bkt.spans[a] = append(bkt.spans[a], pos)
+					continue
 				}
 				perAttr[a] = append(perAttr[a], entry{iv: b, sub: pos})
-				bkt.required[pos]++
-			}
-			if bkt.required[pos] == 0 {
-				bkt.matchAll = append(bkt.matchAll, pos)
 			}
 		}
-		for a := range perAttr {
-			bkt.trees[a] = buildITree(perAttr[a])
-		}
-		n := len(bkt.ids)
-		bkt.scratch.New = func() any {
-			return &stabScratch{counts: make([]int, n), stamp: make([]uint32, n)}
+		bkt.trees = make([]*itreeNode, m)
+		bkt.los = make([][]int64, m)
+		bkt.his = make([][]int64, m)
+		for a, es := range perAttr {
+			byLo, byHi := sortedEntries(es)
+			los, his := make([]int64, len(es)), make([]int64, len(es))
+			for i := range es {
+				los[i], his[len(es)-1-i] = byLo[i].iv.Lo, byHi[i].iv.Hi
+			}
+			bkt.los[a], bkt.his[a] = los, his
+			bkt.trees[a] = buildSorted(byLo, byHi)
 		}
 	}
 	x.dirty = false
@@ -189,60 +195,103 @@ func (x *ITreeIndex) bucketFor(p subscription.Publication) *itreeBucket {
 	return bkt
 }
 
-// completions runs the counting stab loop with the given scratch,
-// invoking emit for every position whose indexed predicates all
-// contain p (matchAll positions are complete by definition and come
-// first). emit returning false stops the scan.
-func (bkt *itreeBucket) completions(p subscription.Publication, sc *stabScratch, emit func(pos int) bool) {
-	for _, pos := range bkt.matchAll {
-		if !emit(pos) {
+// countLE returns how many of the sorted xs are at most v.
+func countLE(xs []int64, v int64) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if xs[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// pick returns the attribute whose predicates contain p least often,
+// with that count — an upper bound on the matches. p must lie inside
+// every hull, so each hull-spanning predicate contains it; among the
+// indexed ones, those containing v are the #(Lo ≤ v) whose Hi is not
+// below v, and every Hi < v belongs to one with Lo ≤ v. A zero-arity
+// bucket has no attribute to pick (best < 0): all of it matches.
+func (bkt *itreeBucket) pick(p subscription.Publication) (best, n int) {
+	best, n = -1, len(bkt.ids)
+	for a, v := range p.Values {
+		below, _ := slices.BinarySearch(bkt.his[a], v) // #(Hi < v)
+		c := countLE(bkt.los[a], v) - below + len(bkt.spans[a])
+		if c < n || best < 0 {
+			best, n = a, c
+			if c == 0 {
+				break
+			}
+		}
+	}
+	return best, n
+}
+
+// completions invokes emit for every position matching p, given the
+// attribute best chosen by pick: the candidates are that attribute's
+// stab hits and hull-spanning positions, each checked on every
+// attribute. emit returning false stops the scan.
+func (bkt *itreeBucket) completions(p subscription.Publication, best int, emit func(pos int) bool) {
+	if best < 0 {
+		for pos := range bkt.ids {
+			if !emit(pos) {
+				return
+			}
+		}
+		return
+	}
+	m := len(p.Values)
+	check := func(pos int) bool {
+		for a, b := range bkt.bounds[pos*m : pos*m+m] {
+			if !b.Contains(p.Values[a]) {
+				return true
+			}
+		}
+		return emit(pos)
+	}
+	if !bkt.trees[best].each(p.Values[best], check) {
+		return
+	}
+	for _, pos := range bkt.spans[best] {
+		if !check(pos) {
 			return
-		}
-	}
-	sc.epoch++
-	if sc.epoch == 0 { // wrapped: reset stamps
-		for i := range sc.stamp {
-			sc.stamp[i] = 0
-		}
-		sc.epoch = 1
-	}
-	for a, tree := range bkt.trees {
-		sc.hits = tree.stab(p.Values[a], sc.hits[:0])
-		for _, pos := range sc.hits {
-			if sc.stamp[pos] != sc.epoch {
-				sc.stamp[pos] = sc.epoch
-				sc.counts[pos] = 0
-			}
-			sc.counts[pos]++
-			if sc.counts[pos] == bkt.required[pos] {
-				if !emit(pos) {
-					return
-				}
-			}
 		}
 	}
 }
 
-// Match implements Matcher in O(m·log k + hits) per publication after
-// an amortized rebuild. Safe for concurrent callers.
+// Match implements Matcher in O(m·log k + m·c) per publication after
+// an amortized rebuild, where c is the hit count of the least-hit
+// attribute. Safe for concurrent callers.
 func (x *ITreeIndex) Match(p subscription.Publication) []ID {
 	bkt := x.bucketFor(p)
 	if bkt == nil {
 		return nil
 	}
-	sc := bkt.scratch.Get().(*stabScratch)
-	var out []ID
-	bkt.completions(p, sc, func(pos int) bool {
+	best, n := bkt.pick(p)
+	if n == 0 {
+		return nil
+	}
+	// Collect on the stack: the candidate count n is often hundreds
+	// while the matches are a handful, so up to 32 matches the result
+	// is allocated once, at its final size.
+	var stack [32]ID
+	out := stack[:0]
+	bkt.completions(p, best, func(pos int) bool {
 		out = append(out, bkt.ids[pos])
 		return true
 	})
-	bkt.scratch.Put(sc)
+	if len(out) == 0 {
+		return nil
+	}
 	sortIDs(out)
-	return out
+	return slices.Clone(out)
 }
 
 // MatchAny reports whether any indexed subscription matches p,
-// returning as soon as one completes — the existence form the broker
+// returning as soon as one is found — the existence form the broker
 // uses for reverse-path forwarding, where the member list is unused.
 // Safe for concurrent callers.
 func (x *ITreeIndex) MatchAny(p subscription.Publication) bool {
@@ -250,12 +299,14 @@ func (x *ITreeIndex) MatchAny(p subscription.Publication) bool {
 	if bkt == nil {
 		return false
 	}
-	sc := bkt.scratch.Get().(*stabScratch)
+	best, n := bkt.pick(p)
+	if n == 0 {
+		return false
+	}
 	found := false
-	bkt.completions(p, sc, func(int) bool {
+	bkt.completions(p, best, func(int) bool {
 		found = true
 		return false
 	})
-	bkt.scratch.Put(sc)
 	return found
 }

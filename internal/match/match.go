@@ -16,6 +16,8 @@
 package match
 
 import (
+	"slices"
+
 	"probsum/internal/subscription"
 )
 
@@ -85,12 +87,5 @@ func (b *BruteForce) Match(p subscription.Publication) []ID {
 // Len implements Matcher.
 func (b *BruteForce) Len() int { return len(b.ids) }
 
-// sortIDs sorts a small ID slice in place (insertion sort: match
-// result sets are short and mostly ordered already).
-func sortIDs(ids []ID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
+// sortIDs sorts a match result in place.
+func sortIDs(ids []ID) { slices.Sort(ids) }

@@ -19,7 +19,7 @@ func TestObserveZeroAlloc(t *testing.T) {
 
 func TestLinkStatsZeroAlloc(t *testing.T) {
 	var l LinkStats
-	if n := testing.AllocsPerRun(1000, func() { l.Sent(5); l.Recv(5) }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { l.Sent(5); l.Recv(5); l.Wrote() }); n != 0 {
 		t.Fatalf("LinkStats counting allocates %v per op, want 0", n)
 	}
 }

@@ -75,6 +75,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if len(s.linkNames) > 0 {
 		fmt.Fprintf(&b, "# TYPE %slink_frames_sent_total counter\n", namePrefix)
 		s.writeLinkDir(&b, "sent", func(l LinkSnapshot) [linkKindSlots]uint64 { return l.Sent })
+		fmt.Fprintf(&b, "# TYPE %slink_write_syscalls_total counter\n", namePrefix)
+		for _, name := range s.linkNames {
+			if w := s.links[name].Writes; w != 0 {
+				fmt.Fprintf(&b, "%slink_write_syscalls_total{link=%q} %d\n", namePrefix, escapeLabel(name), w)
+			}
+		}
 		fmt.Fprintf(&b, "# TYPE %slink_frames_recv_total counter\n", namePrefix)
 		s.writeLinkDir(&b, "recv", func(l LinkSnapshot) [linkKindSlots]uint64 { return l.Recv })
 	}
@@ -108,8 +114,9 @@ type JSONHistogram struct {
 // JSONLink is the JSON form of one link's frame counts, keyed by
 // wire-kind name.
 type JSONLink struct {
-	Sent map[string]uint64 `json:"sent,omitempty"`
-	Recv map[string]uint64 `json:"recv,omitempty"`
+	Sent   map[string]uint64 `json:"sent,omitempty"`
+	Recv   map[string]uint64 `json:"recv,omitempty"`
+	Writes uint64            `json:"writes,omitempty"` // write syscalls carrying Sent
 }
 
 // JSONMetrics is the /metrics.json document.
@@ -151,7 +158,7 @@ func (r *Registry) JSON() JSONMetrics {
 	}
 	for _, name := range s.linkNames {
 		l := s.links[name]
-		jl := JSONLink{Sent: map[string]uint64{}, Recv: map[string]uint64{}}
+		jl := JSONLink{Sent: map[string]uint64{}, Recv: map[string]uint64{}, Writes: l.Writes}
 		for k, c := range l.Sent {
 			if c != 0 {
 				jl.Sent[s.kind(k)] = c

@@ -14,10 +14,13 @@ import "sync/atomic"
 // out at 15 (MsgRouteAnnounce); 24 leaves room to grow.
 const linkKindSlots = 24
 
-// LinkStats counts frames by wire kind for one link.
+// LinkStats counts frames by wire kind for one link, and the write
+// syscalls that carried the sent ones: a writer that coalesces queued
+// frames sends several per write, so frames/writes shows how much.
 type LinkStats struct {
-	sent [linkKindSlots]atomic.Uint64
-	recv [linkKindSlots]atomic.Uint64
+	sent   [linkKindSlots]atomic.Uint64
+	recv   [linkKindSlots]atomic.Uint64
+	writes atomic.Uint64
 }
 
 func clampKind(kind int) int {
@@ -33,10 +36,14 @@ func (l *LinkStats) Sent(kind int) { l.sent[clampKind(kind)].Add(1) }
 // Recv records one inbound frame of the given kind.
 func (l *LinkStats) Recv(kind int) { l.recv[clampKind(kind)].Add(1) }
 
+// Wrote records one write syscall toward the link.
+func (l *LinkStats) Wrote() { l.writes.Add(1) }
+
 // LinkSnapshot is a point-in-time copy of one link's counters.
 type LinkSnapshot struct {
-	Sent [linkKindSlots]uint64
-	Recv [linkKindSlots]uint64
+	Sent   [linkKindSlots]uint64
+	Recv   [linkKindSlots]uint64
+	Writes uint64
 }
 
 // Snapshot copies the current counts.
@@ -46,5 +53,6 @@ func (l *LinkStats) Snapshot() LinkSnapshot {
 		s.Sent[i] = l.sent[i].Load()
 		s.Recv[i] = l.recv[i].Load()
 	}
+	s.Writes = l.writes.Load()
 	return s
 }

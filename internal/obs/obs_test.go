@@ -67,12 +67,16 @@ func TestLinkStatsClamp(t *testing.T) {
 	l.Sent(3)
 	l.Recv(-1)
 	l.Recv(999)
+	l.Wrote()
 	s := l.Snapshot()
 	if s.Sent[3] != 2 {
 		t.Fatalf("sent[3] = %d", s.Sent[3])
 	}
 	if s.Recv[linkKindSlots-1] != 2 {
 		t.Fatalf("out-of-range kinds must clamp to last slot: %v", s.Recv)
+	}
+	if s.Writes != 1 {
+		t.Fatalf("writes = %d, want 1", s.Writes)
 	}
 }
 
@@ -127,6 +131,8 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 	})
 	r.Link("b2").Sent(5)
 	r.Link("b2").Recv(5)
+	r.Link("b2").Wrote()
+	r.Link("b1").Recv(5) // never written to: no write-syscall series
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -144,10 +150,18 @@ func TestRegistryPrometheusRendering(t *testing.T) {
 		"probsum_publish_match_ns_count 1",
 		`probsum_link_frames_sent_total{link="b2",kind="publish"} 1`,
 		`probsum_link_frames_recv_total{link="b2",kind="publish"} 1`,
+		"# TYPE probsum_link_write_syscalls_total counter",
+		`probsum_link_write_syscalls_total{link="b2"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, `probsum_link_write_syscalls_total{link="b1"}`) {
+		t.Fatalf("zero write-syscall count rendered:\n%s", out)
+	}
+	if got := r.JSON().Links["b2"].Writes; got != 1 {
+		t.Fatalf("json writes = %d, want 1", got)
 	}
 	// Deterministic: two scrapes render identically.
 	var sb2 strings.Builder

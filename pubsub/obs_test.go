@@ -111,6 +111,7 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"probsum_broker_pubs_received",
 		`probsum_link_frames_sent_total{link="B2",kind="publish"}`,
+		`probsum_link_write_syscalls_total{link="B2"}`,
 		"probsum_publish_stage_match_ns_count",
 		"probsum_publish_stage_route_ns_count",
 		"probsum_publish_stage_enqueue_ns_count",
@@ -140,6 +141,15 @@ func TestTCPObservabilityEndToEnd(t *testing.T) {
 	}
 	if link, ok := j.Links["B2"]; !ok || link.Sent["publish"] == 0 {
 		t.Errorf("link B2 publish frames not counted: %+v", j.Links)
+	} else {
+		// Every write carries at least one counted frame.
+		var sent uint64
+		for _, n := range link.Sent {
+			sent += n
+		}
+		if link.Writes == 0 || link.Writes > sent {
+			t.Errorf("link B2 writes = %d, want 1..%d (frames sent)", link.Writes, sent)
+		}
 	}
 
 	// The simulator transport carries no registry by design.

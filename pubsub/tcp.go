@@ -46,7 +46,10 @@ package pubsub
 //   - one WRITER goroutine per outbound port encodes frames from a
 //     buffered queue into pooled buffers, so a slow or stalled peer
 //     never blocks matching and concurrent publishes never interleave
-//     frame bytes.
+//     frame bytes. Each write carries the frame the writer woke for
+//     plus every frame already queued behind it (up to
+//     maxWriteCoalesce bytes): one syscall per run instead of one per
+//     frame, and no waiting for frames that have not arrived.
 //   - Shutdown stops readers at a frame boundary, waits for in-flight
 //     handling, then closes the writer queues so every already-queued
 //     frame drains before the connections close.
@@ -170,41 +173,72 @@ type tcpPort struct {
 	once sync.Once
 
 	// stats counts frames queued toward this destination by wire kind
-	// (atomic fixed-array adds — zero allocations on the frame path);
-	// writeHist/clock time the encode+write stage. All three are set
-	// once in addPort, before the port is visible to senders.
+	// and the writes that carried them (atomic adds — zero allocations
+	// on the frame path); writeHist/clock time the encode+write stage,
+	// once per write. All three are set once in addPort, before the
+	// port is visible to senders.
 	stats     *obs.LinkStats
 	writeHist *obs.Histogram
 	clock     func() time.Time
 }
 
-// writeFrame encodes one queue item into a pooled buffer and writes it
-// in a single call.
-func (p *tcpPort) writeFrame(it wireItem) error {
+// maxWriteCoalesce caps the bytes one write gathers from a port's
+// queue. The writer folds in only frames that are already queued — it
+// never waits for more — so coalescing adds no latency; the cap bounds
+// the encode buffer and how long queued frames wait behind one write.
+// A single frame larger than the cap still goes out, alone.
+const maxWriteCoalesce = 64 << 10
+
+// encode appends one queue item's frame to buf. Binary frames are
+// built straight from the queued message; the envelope stays on the
+// stack.
+func encode(buf []byte, it wireItem) ([]byte, error) {
+	if it.ctrl != nil {
+		return MarshalFrame(CodecJSON, buf, it.ctrl)
+	}
+	return appendBinaryFrame(buf, &Frame{Msg: &it.msg})
+}
+
+// writeRun encodes first and every item already queued behind it, up
+// to maxWriteCoalesce bytes, into one pooled buffer and sends them in
+// a single write. It reports open=false once it finds the queue closed
+// (graceful shutdown: everything queued has then been written). An
+// encode error still writes the frames encoded before it, then
+// returns the error.
+func (p *tcpPort) writeRun(first wireItem) (open bool, err error) {
 	var t0 time.Time
 	if p.writeHist != nil {
 		t0 = p.clock()
 	}
 	buf := getEncBuf()
 	defer putEncBuf(buf)
-	var (
-		data []byte
-		err  error
-	)
-	if it.ctrl != nil {
-		data, err = MarshalFrame(CodecJSON, (*buf)[:0], it.ctrl)
-	} else {
-		data, err = MarshalFrame(CodecBinary5, (*buf)[:0], &Frame{Msg: &it.msg})
+	data, encErr := encode((*buf)[:0], first)
+	open = true
+gather:
+	for encErr == nil && len(data) < maxWriteCoalesce {
+		select {
+		case it, ok := <-p.ch:
+			if !ok {
+				open = false
+				break gather
+			}
+			data, encErr = encode(data, it)
+		default:
+			break gather
+		}
 	}
 	*buf = data[:0]
-	if err != nil {
-		return err
+	if len(data) > 0 {
+		_, err = p.conn.Write(data)
+		p.stats.Wrote()
 	}
-	_, err = p.conn.Write(data)
 	if p.writeHist != nil {
 		p.writeHist.Observe(p.clock().Sub(t0))
 	}
-	return err
+	if err == nil {
+		err = encErr
+	}
+	return open, err
 }
 
 // kill marks the port dead: senders stop enqueueing and the writer
@@ -362,13 +396,20 @@ func (s *tcpServer) addPort(name string, conn net.Conn, replace, peer bool, ack 
 	return p, nil
 }
 
-// runWriter drains one port's queue onto its connection. A closed
-// queue (graceful shutdown) is drained to the last frame; a killed
-// port (replacement, encode error, hard close) exits immediately.
+// runWriter drains one port's queue onto its connection, one write
+// per run of queued frames (see writeRun). A closed queue (graceful
+// shutdown) is drained to the last frame; a killed port (replacement,
+// encode error, hard close) exits once its current write returns.
 func (s *tcpServer) runWriter(p *tcpPort) {
 	defer s.writerWg.Done()
 	defer p.conn.Close()
 	for {
+		// A kill takes precedence over a ready queue.
+		select {
+		case <-p.dead:
+			return
+		default:
+		}
 		select {
 		case <-p.dead:
 			return
@@ -376,7 +417,8 @@ func (s *tcpServer) runWriter(p *tcpPort) {
 			if !ok {
 				return
 			}
-			if err := p.writeFrame(it); err != nil {
+			open, err := p.writeRun(it)
+			if err != nil {
 				// The destination vanished; message loss on broken links
 				// is the lossy-environment behavior the protocol already
 				// tolerates. A lost peer link is surfaced to the cluster
@@ -385,6 +427,9 @@ func (s *tcpServer) runWriter(p *tcpPort) {
 				if p.peer {
 					s.firePeerDown(p.name)
 				}
+				return
+			}
+			if !open {
 				return
 			}
 		}
